@@ -16,7 +16,7 @@ from .filtering import (
     filtered_bound,
     x_matrix,
 )
-from .linalg import SVDResult, pauli, svd_3x9, tensor
+from .linalg import SVDResult, lorentz_map, pauli, pauli_moments, svd_3x9, tensor
 from .scan import (
     ActivationReport,
     PointRecord,
@@ -86,9 +86,11 @@ __all__ = [
     "figure_data",
     "filtered_bound",
     "load_state",
+    "lorentz_map",
     "optimal_bb",
     "optimize_filter",
     "pauli",
+    "pauli_moments",
     "save_state",
     "seesaw_max",
     "svd_3x9",

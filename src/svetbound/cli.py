@@ -40,6 +40,9 @@ EXIT_UNPHYSICAL = 3
 EXIT_ANNIHILATED = 4
 EXIT_NON_MONOTONE = 5
 
+# Grid steps finer than the bisection tolerance 1e-4 resolve nothing more.
+MAX_P_GRID_POINTS = 10_001
+
 
 def _num(value: float) -> str:
     return format(value, ".15e")
@@ -206,8 +209,10 @@ def _parse_p_grid(text: str) -> np.ndarray:
         start, end, step = (float(s) for s in parts)
     except ValueError as exc:
         raise ValueError(f"--p-grid has a non-numeric part: {text!r}") from exc
-    if not (0.0 <= start < end <= 1.0) or step <= 0.0:
-        raise ValueError("--p-grid needs 0 <= start < end <= 1 and step > 0")
+    if not (0.0 <= start < end <= 1.0) or not 0.0 < step < math.inf:
+        raise ValueError("--p-grid needs 0 <= start < end <= 1 and a finite step > 0")
+    if math.ceil((end + step / 2.0 - start) / step) > MAX_P_GRID_POINTS:
+        raise ValueError(f"--p-grid has more than {MAX_P_GRID_POINTS} points")
     return np.round(np.arange(start, end + step / 2.0, step), 12)
 
 

@@ -2,23 +2,22 @@
 
 A filter triple (F_A, F_B, F_C) of positive semidefinite 2x2 operators maps a
 state rho to rho' = F rho F^dag / N with F = F_A (x) F_B (x) F_C and
-N = tr(F^dag F rho). The filtered correlation matrix M' can be computed
-without normalizing the state: writing each filter as U diag(s) U^dag and
-rotating rho by U_A (x) U_B (x) U_C, the matrix X of expectations of
-diag(s) sigma diag(s) products satisfies M' = O_B X (O_A (x) O_C)^T / N for
-the rotations O induced on Bloch vectors, so M' and X/N share singular values.
+N = tr(F^dag F rho). Written canonically as U diag(s) U^dag, each filter acts
+on the state's Pauli moment tensor q through the 4x4 map L(U diag(s)), and
+q' = (L_A (x) L_B (x) L_C) q gives N = q'[0, 0, 0] and X = q'[1:, 1:, 1:]
+without forming rho'. The dropped U^dag factors only rotate Bloch vectors, so
+M' = O_B X (O_A (x) O_C)^T / N, and M' and X/N share singular values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import FilterAnnihilationError
-from .linalg import pauli, real_expectation, spectral_2x2_psd, tensor
-from .svetlichny import CorrelationMatrix, correlation_matrix
+from .linalg import lorentz_map, pauli_moments, real_expectation, spectral_2x2_psd, tensor
+from .svetlichny import CorrelationMatrix, correlation_block, correlation_matrix
 
 ANNIHILATION_TOL = 1e-15
 
@@ -33,8 +32,8 @@ class FilterParams:
 
     def __post_init__(self):
         for name, value in (("x", self.x), ("y", self.y), ("z", self.z)):
-            if not value > 0.0:
-                raise ValueError(f"filter parameter {name} must be positive, got {value}")
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"filter parameter {name} must be positive and finite, got {value}")
 
     def triple(self) -> "FilterTriple":
         return FilterTriple.diagonal(self.x, self.y, self.z)
@@ -71,8 +70,8 @@ class FilterTriple:
     def diagonal(cls, x: float, y: float, z: float) -> "FilterTriple":
         """Filters diag(v, 1) scaling each party's |0> amplitude by v >= 0."""
         for name, value in (("x", x), ("y", y), ("z", z)):
-            if value < 0.0:
-                raise ValueError(f"diagonal filter entry {name} must be nonnegative, got {value}")
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"diagonal filter entry {name} must be finite and nonnegative, got {value}")
         return cls.from_operators(np.diag([x, 1.0]), np.diag([y, 1.0]), np.diag([z, 1.0]))
 
     @classmethod
@@ -84,11 +83,16 @@ def apply_filter(rho: np.ndarray, filters: FilterTriple) -> tuple[np.ndarray, fl
     """Filtered state and the literal normalization tr(F^dag F rho).
 
     Raises FilterAnnihilationError when the normalization is at or below
-    1e-15, since the filtered state is then undefined.
+    1e-15, since the filtered state is then undefined, and ValueError when
+    F^dag F overflows double precision.
     """
     big = tensor(filters.f_a, filters.f_b, filters.f_c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = big.conj().T @ big
+    if not np.isfinite(gram).all():
+        raise ValueError("filter strengths overflow F^dag F; use milder filters")
     scale = float(np.linalg.norm(big, 2)) ** 2
-    n = real_expectation(np.asarray(rho, dtype=complex), big.conj().T @ big, scale=scale)
+    n = real_expectation(np.asarray(rho, dtype=complex), gram, scale=scale)
     if n <= ANNIHILATION_TOL:
         raise FilterAnnihilationError(f"filter normalization {n:.3e} is at or below {ANNIHILATION_TOL:g}")
     rho_prime = big @ rho @ big.conj().T / n
@@ -96,18 +100,19 @@ def apply_filter(rho: np.ndarray, filters: FilterTriple) -> tuple[np.ndarray, fl
     return rho_prime, n
 
 
-def _rotated_state(rho: np.ndarray, filters: FilterTriple) -> np.ndarray:
-    u = tensor(*filters.unitaries)
-    return u.conj().T @ np.asarray(rho, dtype=complex) @ u
+def _filtered_moments(rho: np.ndarray, filters: FilterTriple) -> np.ndarray:
+    """Moments of F rho F^dag with every filter in canonical scale.
 
-
-def _scaled_paulis(s: np.ndarray) -> list[np.ndarray]:
-    d = np.diag(s)
-    return [d @ pauli(i) @ d for i in (1, 2, 3)]
-
-
-def _canonical_scale(filters: FilterTriple) -> float:
-    return float(np.prod([s.max() for s in filters.scales])) ** 2
+    Each party's moment index is multiplied by L(U diag(s)), so
+    q' = (L_A (x) L_B (x) L_C) q. Raises ValueError when a canonical map or
+    q' is not finite in double precision.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = [lorentz_map(u * s) for u, s in zip(filters.unitaries, filters.scales)]
+        q = np.einsum("ia,jb,kc,abc->ijk", *maps, pauli_moments(rho))
+    if not np.isfinite(q).all():
+        raise ValueError("filter strengths overflow the canonical filter maps; use milder filters")
+    return q
 
 
 def x_matrix(rho: np.ndarray, filters: FilterTriple) -> np.ndarray:
@@ -117,20 +122,12 @@ def x_matrix(rho: np.ndarray, filters: FilterTriple) -> np.ndarray:
     3l + n, with varrho the unitarily rotated state and delta, eta, gamma the
     Pauli matrices conjugated by each party's canonical diag(s).
     """
-    varrho = _rotated_state(rho, filters)
-    da, db, dc = (_scaled_paulis(s) for s in filters.scales)
-    scale = _canonical_scale(filters)
-    out = np.empty((3, 9))
-    for l, m, n in product(range(3), repeat=3):
-        out[m, 3 * l + n] = real_expectation(varrho, tensor(da[l], db[m], dc[n]), scale=scale)
-    return out
+    return correlation_block(_filtered_moments(rho, filters))
 
 
 def canonical_normalization(rho: np.ndarray, filters: FilterTriple) -> float:
     """tr(F^dag F rho) with every filter in canonical scale. Pairs with x_matrix."""
-    varrho = _rotated_state(rho, filters)
-    sq = [np.diag(s**2) for s in filters.scales]
-    return real_expectation(varrho, tensor(*sq), scale=_canonical_scale(filters))
+    return float(_filtered_moments(rho, filters)[0, 0, 0])
 
 
 @dataclass
@@ -153,10 +150,11 @@ class FilteredAnalysis:
 def filtered_bound(rho: np.ndarray, filters: FilterTriple) -> FilteredAnalysis:
     """Filtered singular-value bound via the normalized state's correlations."""
     rho_prime, _ = apply_filter(rho, filters)
-    n = canonical_normalization(rho, filters)
+    q = _filtered_moments(rho, filters)
+    n = float(q[0, 0, 0])
     if n <= ANNIHILATION_TOL:
         raise FilterAnnihilationError(f"canonical normalization {n:.3e} is at or below {ANNIHILATION_TOL:g}")
-    xm = x_matrix(rho, filters)
+    xm = correlation_block(q)
     m_prime = correlation_matrix(rho_prime)
     s1 = float(m_prime.svd.singular_values[0])
     return FilteredAnalysis(

@@ -11,8 +11,9 @@ from .errors import ConsistencyError
 DEGENERACY_RTOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-12
 
-_SIGMA = np.array(
+_SIGMA4 = np.array(
     [
+        [[1.0, 0.0], [0.0, 1.0]],
         [[0.0, 1.0], [1.0, 0.0]],
         [[0.0, -1.0j], [1.0j, 0.0]],
         [[1.0, 0.0], [0.0, -1.0]],
@@ -25,7 +26,7 @@ def pauli(index: int) -> np.ndarray:
     """Pauli matrix sigma_index for index in {1, 2, 3} (x, y, z)."""
     if index not in (1, 2, 3):
         raise ValueError(f"Pauli index must be 1, 2 or 3, got {index}")
-    return _SIGMA[index - 1].copy()
+    return _SIGMA4[index].copy()
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
@@ -36,6 +37,35 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, op)
     return out
+
+
+# All 64 products sigma_a (x) sigma_b (x) sigma_c, (a, b, c) in lexicographic order.
+_PAULI_PRODUCTS = np.stack(
+    [tensor(_SIGMA4[a], _SIGMA4[b], _SIGMA4[c]) for a in range(4) for b in range(4) for c in range(4)]
+)
+
+
+def pauli_moments(rho: np.ndarray) -> np.ndarray:
+    """Real 4x4x4 tensor q[a, b, c] = tr(rho sigma_a (x) sigma_b (x) sigma_c), index 0 the identity.
+
+    An imaginary residue above 1e-12 means rho was not Hermitian: ConsistencyError.
+    """
+    vals = np.einsum("nab,ba->n", _PAULI_PRODUCTS, np.asarray(rho, dtype=complex))
+    residue = np.abs(vals.imag).max()
+    if residue > IMAG_RESIDUE_TOL:
+        raise ConsistencyError(f"Pauli moments have imaginary residue {residue:.3e}")
+    return vals.real.reshape(4, 4, 4)
+
+
+def lorentz_map(g: np.ndarray) -> np.ndarray:
+    """Real 4x4 map L[mu, nu] = tr(sigma_nu g sigma_mu g^dag) / 2 of a 2x2 operator.
+
+    g sigma_mu g^dag = sum_nu L[mu, nu] sigma_nu (the SL(2,C) to Lorentz map), so
+    conjugating one party by g multiplies its moment index by L. Stacks map to stacks.
+    """
+    g = np.asarray(g, dtype=complex)[..., None, :, :]
+    moved = g @ _SIGMA4 @ g.conj().swapaxes(-1, -2)
+    return np.einsum("nab,...mba->...mn", _SIGMA4, moved).real / 2.0
 
 
 def real_expectation(
@@ -63,6 +93,8 @@ def spectral_2x2_psd(f: np.ndarray, *, tol: float = 1e-12) -> tuple[np.ndarray, 
     f = np.asarray(f, dtype=complex)
     if f.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("matrix has non-finite entries")
     herm = np.abs(f - f.conj().T).max()
     if herm > tol:
         raise ValueError(f"matrix is not Hermitian, residual {herm:.3e}")

@@ -1,10 +1,10 @@
 """Filter optimization, violation thresholds, and activation-curve data.
 
-The filter search works in Pauli-moment space: for diagonal filters the
-unnormalized filtered correlation matrix and its normalization are both
-linear in the 4x4x4 moment tensor of the state, so a full log-spaced grid of
-filter strengths reduces to a few einsum contractions and one batched SVD.
-Grid optima seed bounded Nelder-Mead refinements.
+The filter search works on the state's 4x4x4 Pauli moment tensor q, on which
+a filter diag(x, 1) acts through its 4x4 map L(diag(x, 1)): rows 1-3 give the
+unnormalized filtered correlations and row 0 the normalization. A log-spaced
+grid of filter strengths reduces to a few einsum contractions and one batched
+SVD; grid optima seed bounded Nelder-Mead refinements.
 
 The second singular value gets the same treatment as the first. Near the
 boundary of the violating region the global landscape of the leading value is
@@ -22,7 +22,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 from scipy.optimize import minimize
@@ -31,7 +30,7 @@ from .analysis import certify_filtered, certify_unfiltered
 from .errors import NonMonotonePredicateError
 from .fileio import atomic_write_text
 from .filtering import FilteredAnalysis, FilterParams, filtered_bound
-from .linalg import pauli, tensor
+from .linalg import lorentz_map, pauli_moments
 from .seesaw import OracleConfig
 from .states import build_chi_state, build_ghz_noise_state
 
@@ -41,10 +40,6 @@ BISECT_TOL = 1e-4
 # tabulated two-qubit results. Used only to annotate the activation window;
 # nothing in this package computes it.
 BILOCAL_BOUNDARY_P = 0.4167
-
-_ID2 = np.eye(2, dtype=complex)
-_OPS4 = [_ID2, pauli(1), pauli(2), pauli(3)]
-_MOMENT_STACK = np.stack([tensor(a, b, c) for a, b, c in product(_OPS4, repeat=3)])
 
 
 def build_family_state(family: str, p: float, theta: float = math.pi / 8) -> np.ndarray:
@@ -75,36 +70,16 @@ class ScanSpec:
         self.p_grid = np.asarray(self.p_grid, dtype=float)
 
 
-def _moments(rho: np.ndarray) -> np.ndarray:
-    """Real 4x4x4 tensor of Pauli moments, index 0 the identity."""
-    vals = np.einsum("nab,ba->n", _MOMENT_STACK, np.asarray(rho, dtype=complex))
-    return vals.real.reshape(4, 4, 4)
-
-
-def _filter_coeffs(xs: np.ndarray) -> np.ndarray:
-    """Moment-space coefficients of diag(x, 1) sigma diag(x, 1) per Pauli row."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros((xs.size, 3, 4))
-    out[:, 0, 1] = xs
-    out[:, 1, 2] = xs
-    out[:, 2, 0] = (xs**2 - 1.0) / 2.0
-    out[:, 2, 3] = (xs**2 + 1.0) / 2.0
-    return out
-
-
-def _norm_coeffs(xs: np.ndarray) -> np.ndarray:
-    """Moment-space coefficients of diag(x, 1)^2."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros((xs.size, 4))
-    out[:, 0] = (xs**2 + 1.0) / 2.0
-    out[:, 3] = (xs**2 - 1.0) / 2.0
-    return out
+def _diagonal_maps(xs) -> np.ndarray:
+    """Stacked 4x4 maps L(diag(x, 1)), one per filter strength."""
+    return lorentz_map([np.diag([x, 1.0]) for x in xs])
 
 
 def _lambda_grids(q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second normalized singular values over the full filter grid."""
-    dc = _filter_coeffs(xs)
-    ec = _norm_coeffs(xs)
+    maps = _diagonal_maps(xs)
+    dc, ec = maps[:, 1:], maps[:, 0]
+    # Staged pairwise contractions: one four-operand einsum is several times slower here.
     t1 = np.einsum("xla,abc->xlbc", dc, q)
     t2 = np.einsum("ymb,xlbc->xylmc", dc, t1)
     t3 = np.einsum("znc,xylmc->xyzlmn", dc, t2)
@@ -116,10 +91,9 @@ def _lambda_grids(q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _singular_over_n(q: np.ndarray, xyz: np.ndarray, which: int) -> float:
     """Normalized singular value (0 leading, 1 second) at one filter point."""
-    coeffs = [_filter_coeffs(np.array([v]))[0] for v in xyz]
-    norms = [_norm_coeffs(np.array([v]))[0] for v in xyz]
-    xm = np.einsum("la,mb,nc,abc->mln", coeffs[0], coeffs[1], coeffs[2], q).reshape(3, 9)
-    n = float(np.einsum("a,b,c,abc->", norms[0], norms[1], norms[2], q))
+    la, lb, lc = _diagonal_maps(xyz)
+    xm = np.einsum("la,mb,nc,abc->mln", la[1:], lb[1:], lc[1:], q).reshape(3, 9)
+    n = float(np.einsum("a,b,c,abc->", la[0], lb[0], lc[0], q))
     s = np.linalg.svd(xm, compute_uv=False)
     return float(s[which]) / n
 
@@ -160,7 +134,7 @@ def optimize_filter(rho: np.ndarray, spec: ScanSpec | None = None) -> tuple[Filt
     spec = spec or ScanSpec()
     lo, hi = spec.filter_log_range
     xs = np.logspace(lo, hi, spec.filter_grid_points)
-    q = _moments(rho)
+    q = pauli_moments(rho)
     lam1, lam2 = _lambda_grids(q, xs)
 
     seeds = []
@@ -271,10 +245,19 @@ def _violates_at(spec: ScanSpec, p: float, mode: str) -> bool:
     raise ValueError(f"unknown mode {mode!r}, expected 'unfiltered' or 'filtered'")
 
 
-def _bisect(predicate, lo: float, hi: float, flag_lo: bool) -> float:
+def _threshold(spec: ScanSpec, mode: str, ps: list[float], flags: list[bool], what: str) -> float | None:
+    """Bisect the single sign change of ``flags`` over the grid ``ps``, as threshold_bisect does."""
+    changes = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
+    if not changes:
+        return None
+    if len(changes) > 1:
+        brackets = [(ps[i], ps[i + 1]) for i in changes]
+        raise NonMonotonePredicateError(f"{what} changes sign {len(changes)} times on the grid", brackets)
+    i = changes[0]
+    lo, hi, flag_lo = ps[i], ps[i + 1], flags[i]
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if predicate(mid) == flag_lo:
+        if _violates_at(spec, mid, mode) == flag_lo:
             lo = mid
         else:
             hi = mid
@@ -288,33 +271,15 @@ def threshold_bisect(spec: ScanSpec, mode: str) -> float | None:
     NonMonotonePredicateError carrying every bracketing interval, since a
     bisection there could silently pick an arbitrary crossing.
     """
-    grid = spec.p_grid
-    flags = [_violates_at(spec, p, mode) for p in grid]
-    changes = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
-    if not changes:
-        return None
-    if len(changes) > 1:
-        brackets = [(float(grid[i]), float(grid[i + 1])) for i in changes]
-        raise NonMonotonePredicateError(
-            f"predicate changes sign {len(changes)} times on the grid", brackets
-        )
-    i = changes[0]
-    return _bisect(lambda p: _violates_at(spec, p, mode), float(grid[i]), float(grid[i + 1]), flags[i])
+    ps = [float(p) for p in spec.p_grid]
+    flags = [_violates_at(spec, p, mode) for p in ps]
+    return _threshold(spec, mode, ps, flags, "predicate")
 
 
 def _threshold_from_records(spec: ScanSpec, records: list[PointRecord], mode: str) -> float | None:
     key = "violates_before" if mode == "unfiltered" else "violates_after"
     flags = [getattr(r, key) for r in records]
-    changes = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
-    if not changes:
-        return None
-    if len(changes) > 1:
-        brackets = [(records[i].p, records[i + 1].p) for i in changes]
-        raise NonMonotonePredicateError(
-            f"{key} changes sign {len(changes)} times on the grid", brackets
-        )
-    i = changes[0]
-    return _bisect(lambda p: _violates_at(spec, p, mode), records[i].p, records[i + 1].p, flags[i])
+    return _threshold(spec, mode, [r.p for r in records], flags, key)
 
 
 def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:

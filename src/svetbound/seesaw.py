@@ -103,6 +103,10 @@ def seesaw_from_matrix(
     t = correlation_tensor(m)
     rng = np.random.default_rng(config.seed)
     starts = list(warm_starts) + [MeasurementSettings.random(rng) for _ in range(config.restarts)]
+    if not starts:
+        raise ValueError(f"see-saw has no start: restarts={config.restarts} and no warm start")
+    if config.max_sweeps < 1:
+        raise ValueError(f"see-saw needs max_sweeps >= 1, got {config.max_sweeps}")
 
     best_value = -np.inf
     best_vectors = None

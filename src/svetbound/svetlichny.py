@@ -17,24 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .errors import ConsistencyError
-from .linalg import SVDResult, pauli, real_expectation, svd_3x9, tensor
+from .linalg import SVDResult, pauli, pauli_moments, real_expectation, svd_3x9, tensor
 
 SVETLICHNY_BOUND = 4.0
 ALGEBRAIC_MAX = 4.0 * math.sqrt(2.0)
 VIOLATION_MARGIN = 1e-9
 UNIT_NORM_TOL = 1e-12
 DEGENERATE_DIRECTION_TOL = 1e-12
-
-# All 27 products sigma_{i+1} (x) sigma_{j+1} (x) sigma_{k+1} in lexicographic
-# (i, j, k) order, flattened for a single einsum against the state.
-_PAULI_TRIPLES = np.stack(
-    [tensor(pauli(i + 1), pauli(j + 1), pauli(k + 1)) for i, j, k in product(range(3), repeat=3)]
-)
 
 
 def _unit(v: np.ndarray, name: str) -> np.ndarray:
@@ -80,13 +72,14 @@ class CorrelationMatrix:
     svd: SVDResult
 
 
+def correlation_block(q: np.ndarray) -> np.ndarray:
+    """The 3x9 layout M[j, 3i + k] = q[i+1, j+1, k+1] of a 4x4x4 moment tensor."""
+    return q[1:, 1:, 1:].transpose(1, 0, 2).reshape(3, 9)
+
+
 def correlation_matrix(rho: np.ndarray) -> CorrelationMatrix:
     """Correlation matrix of a validated three-qubit state."""
-    vals = np.einsum("nab,ba->n", _PAULI_TRIPLES, np.asarray(rho, dtype=complex))
-    residue = np.abs(vals.imag).max()
-    if residue > 1e-12:
-        raise ConsistencyError(f"correlation entries have imaginary residue {residue:.3e}")
-    m = vals.real.reshape(3, 3, 3).transpose(1, 0, 2).reshape(3, 9)
+    m = correlation_block(pauli_moments(rho))
     return CorrelationMatrix(matrix=m, svd=svd_3x9(m))
 
 

@@ -82,6 +82,26 @@ class TestFilterCommand:
         assert code == 2
         assert "-x, -y, -z" in err
 
+    @pytest.mark.parametrize(
+        "strengths",
+        [
+            ("inf", "1", "1"),
+            ("nan", "1", "1"),
+            ("1e200", "1", "1"),
+            ("1e-200", "1", "1"),
+            ("1e60", "1e60", "1e60"),
+            ("1e-100", "1e-100", "1e-100"),
+        ],
+    )
+    def test_unusable_strengths_exit_2(self, capsys, strengths):
+        x, y, z = strengths
+        code, out, err = run(
+            capsys, ["filter", "--family", "ghz-noise", "--p", "0.5", "-x", x, "-y", y, "-z", z]
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_optimize_excludes_explicit(self, capsys):
         code, _, _ = run(
             capsys,
@@ -100,6 +120,15 @@ class TestOracleCommand:
         fields = out_map(out)
         assert float(fields["value"]) == pytest.approx(4 * SQ2 * 0.8, abs=1e-8)
         assert fields["converged"] == "true"
+
+    @pytest.mark.parametrize(
+        "flags", [("--restarts", "0"), ("--restarts", "-3"), ("--sweeps", "0")]
+    )
+    def test_empty_run_exit_2(self, capsys, flags):
+        code, out, err = run(capsys, ["oracle", "--family", "ghz-noise", "--p", "0.8", *flags])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestScanCommand:
@@ -135,7 +164,12 @@ class TestScanCommand:
         assert payload["family"] == "ghz-noise"
 
     @pytest.mark.parametrize(
-        "grid", ["0.5:0.4:0.1", "0:2:0.5", "a:b:c", "0.1:0.9", "-0.1:0.5:0.1"]
+        "grid",
+        [
+            "0.5:0.4:0.1", "0:2:0.5", "a:b:c", "0.1:0.9", "-0.1:0.5:0.1",
+            # Each would ask for a huge or undefined grid unless rejected before allocation.
+            "0:1:1e-9", "0:1:nan", "0:1:inf", "nan:1:0.1",
+        ],
     )
     def test_bad_grid(self, capsys, grid):
         code, _, _ = run(

@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from svetbound.errors import ConsistencyError
-from svetbound.linalg import pauli, real_expectation, spectral_2x2_psd, svd_3x9, tensor
+from conftest import random_density
+from svetbound.linalg import (
+    lorentz_map,
+    pauli,
+    pauli_moments,
+    real_expectation,
+    spectral_2x2_psd,
+    svd_3x9,
+    tensor,
+)
+
+PAULI4 = [np.eye(2, dtype=complex), pauli(1), pauli(2), pauli(3)]
 
 
 class TestPauli:
@@ -66,6 +77,65 @@ class TestSpectral2x2:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="semidefinite"):
             spectral_2x2_psd(np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_2x2_psd(np.diag([bad, 1.0]))
+
+
+class TestPauliMoments:
+    def test_matches_direct_traces(self, rng):
+        rho = random_density(rng)
+        q = pauli_moments(rho)
+        assert q[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
+        for a in range(4):
+            for b in range(4):
+                for c in range(4):
+                    direct = np.trace(rho @ tensor(PAULI4[a], PAULI4[b], PAULI4[c])).real
+                    assert q[a, b, c] == pytest.approx(direct, abs=1e-14)
+
+    def test_rejects_non_hermitian(self):
+        rho = np.eye(8, dtype=complex) / 8.0
+        rho[0, 1] = 0.1
+        with pytest.raises(ConsistencyError):
+            pauli_moments(rho)
+
+
+class TestLorentzMap:
+    def test_expands_conjugated_paulis(self, rng):
+        """sum_nu L(g)[mu, nu] sigma_nu = g sigma_mu g^dag for any complex g."""
+        for _ in range(20):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            lmap = lorentz_map(g)
+            for mu in range(4):
+                expanded = sum(lmap[mu, nu] * PAULI4[nu] for nu in range(4))
+                np.testing.assert_allclose(expanded, g @ PAULI4[mu] @ g.conj().T, atol=1e-12)
+
+    def test_diagonal_filter_closed_forms(self, rng):
+        """Rows of L(diag(x, 1)): x sigma_x, x sigma_y, and the z and identity mixes."""
+        xs = np.concatenate([np.logspace(-3.0, 3.0, 25), 10.0 ** rng.uniform(-3.0, 3.0, 200)])
+        maps = lorentz_map([np.diag([x, 1.0]) for x in xs])
+        expected = np.zeros((xs.size, 4, 4))
+        expected[:, 0, 0] = (xs**2 + 1.0) / 2.0
+        expected[:, 0, 3] = (xs**2 - 1.0) / 2.0
+        expected[:, 1, 1] = xs
+        expected[:, 2, 2] = xs
+        expected[:, 3, 0] = (xs**2 - 1.0) / 2.0
+        expected[:, 3, 3] = (xs**2 + 1.0) / 2.0
+        # Exact equality keeps the filter-grid search bit-stable.
+        np.testing.assert_array_equal(maps, expected)
+
+    def test_transports_moments(self, rng):
+        """Moments of G^dag rho G with G = g_A (x) g_B (x) g_C are (L_A (x) L_B (x) L_C) q."""
+        for _ in range(20):
+            rho = random_density(rng)
+            gs = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
+            big = tensor(*gs)
+            maps = [lorentz_map(g) for g in gs]
+            transported = np.einsum("ia,jb,kc,abc->ijk", *maps, pauli_moments(rho))
+            direct = pauli_moments(big.conj().T @ rho @ big)
+            np.testing.assert_allclose(transported, direct, atol=1e-12 * np.abs(direct).max())
 
 
 class TestSvd3x9:

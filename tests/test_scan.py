@@ -7,11 +7,11 @@ import pytest
 from conftest import random_density
 from svetbound.errors import NonMonotonePredicateError
 from svetbound.filtering import FilterTriple, filtered_bound
+from svetbound.linalg import pauli_moments
 from svetbound.scan import (
     PointRecord,
     ScanSpec,
     _lambda_grids,
-    _moments,
     _singular_over_n,
     _threshold_from_records,
     build_family_state,
@@ -30,7 +30,7 @@ SQ2 = math.sqrt(2.0)
 class TestMoments:
     def test_trace_and_correlation_entries(self):
         rho = build_ghz_noise_state(0.7)
-        q = _moments(rho)
+        q = pauli_moments(rho)
         assert q[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
         m = correlation_matrix(rho).matrix
         for i in range(3):
@@ -44,7 +44,7 @@ class TestFastPath:
         """Moment-space singular values must agree with the full filtered route."""
         for _ in range(25):
             rho = random_density(rng)
-            q = _moments(rho)
+            q = pauli_moments(rho)
             xyz = 10.0 ** rng.uniform(-1.5, 1.5, size=3)
             fa = filtered_bound(rho, FilterTriple.diagonal(*xyz))
             fast = _singular_over_n(q, xyz, 0)
@@ -54,7 +54,7 @@ class TestFastPath:
 
     def test_grid_agrees_with_scalar_eval(self, rng):
         rho = random_density(rng)
-        q = _moments(rho)
+        q = pauli_moments(rho)
         xs = np.logspace(-1.0, 1.0, 5)
         lam1, lam2 = _lambda_grids(q, xs)
         for idx in ((0, 0, 0), (1, 2, 3), (4, 4, 4), (2, 0, 3)):
