@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 invalid input, 3 unphysical state, 4 filter
-annihilation, 5 bisection refused on a non-monotone grid.
+annihilation, 5 bisection refused on a non-monotone grid, 6 an internal
+cross-check failed (ConsistencyError).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from .analysis import certify_filtered, certify_unfiltered
 from .errors import (
+    ConsistencyError,
     FilterAnnihilationError,
     NonMonotonePredicateError,
     PhysicalityError,
@@ -39,6 +41,7 @@ EXIT_USAGE = 2
 EXIT_UNPHYSICAL = 3
 EXIT_ANNIHILATED = 4
 EXIT_NON_MONOTONE = 5
+EXIT_INCONSISTENT = 6
 
 # Grid steps finer than the bisection tolerance 1e-4 resolve nothing more.
 MAX_P_GRID_POINTS = 10_001
@@ -188,6 +191,11 @@ def _cmd_oracle(args) -> int:
     print(f"converged: {_flag(result.converged)}")
     print(f"sweeps: {result.sweeps_used}")
     _print_settings(result.settings)
+    if not result.converged:
+        print(
+            f"warning: best see-saw start did not converge within {result.sweeps_used} sweeps",
+            file=sys.stderr,
+        )
     if args.json:
         payload = {
             "state": label,
@@ -330,6 +338,9 @@ def main(argv=None) -> int:
         for lo, hi in exc.brackets:
             print(f"bracket: {_num(lo)} {_num(hi)}", file=sys.stderr)
         return EXIT_NON_MONOTONE
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

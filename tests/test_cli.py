@@ -130,6 +130,23 @@ class TestOracleCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_restarts_above_cap_exit_2(self, capsys):
+        """Rejected before the starts are allocated, not after a 144 GB request."""
+        code, out, err = run(
+            capsys, ["oracle", "--family", "ghz-noise", "--p", "0.8", "--restarts", "1000000000"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: see-saw restarts must be between 0 and 100000, got 1000000000\n"
+
+    def test_unconverged_best_start_warns(self, capsys):
+        argv = ["oracle", "--family", "ghz-noise", "--p", "0.8", "--restarts", "3", "--sweeps", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert out_map(out)["converged"] == "false"
+        assert "warning" not in out
+        assert err == "warning: best see-saw start did not converge within 1 sweeps\n"
+
 
 class TestScanCommand:
     def test_threshold_mode(self, capsys):
@@ -232,6 +249,17 @@ class TestErrorPaths:
         )
         assert code == 5
         assert "bracket" in err
+
+    def test_consistency_error_exit_6(self, capsys, monkeypatch):
+        """A failed trace-versus-bilinear cross-check is one error line, not a traceback."""
+        import svetbound.analysis as analysis
+
+        monkeypatch.setattr(analysis, "svetlichny_value", lambda rho, settings: 0.0)
+        code, out, err = run(capsys, ["bound", "--family", "ghz-noise", "--p", "1.0"])
+        assert code == 6
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: trace and bilinear routes disagree")
 
     def test_missing_p_exit_2(self, capsys):
         code, _, _ = run(capsys, ["bound", "--family", "chi"])
