@@ -14,13 +14,11 @@ from .tightness import assemble_settings, check_tightness
 def _certify(
     rho: np.ndarray,
     corr: CorrelationMatrix,
-    *,
     oracle_config: OracleConfig | None,
-    tightness_restarts: int,
-    seed: int,
 ) -> BoundReport:
+    config = oracle_config or OracleConfig()
     s1 = float(corr.svd.singular_values[0])
-    decomposition = check_tightness(corr.svd, restarts=tightness_restarts, seed=seed)
+    decomposition = check_tightness(corr.svd, seed=config.seed)
 
     candidates = []
     warm_starts = ()
@@ -34,7 +32,7 @@ def _certify(
         candidates.append((traced, settings0))
         warm_starts = (settings0,)
 
-    oracle = seesaw_from_matrix(corr.matrix, oracle_config, warm_starts=warm_starts)
+    oracle = seesaw_from_matrix(corr.matrix, config, warm_starts=warm_starts)
     candidates.append((oracle.value, oracle.settings))
     achieved, settings = max(candidates, key=lambda pair: pair[0])
 
@@ -52,19 +50,16 @@ def certify_unfiltered(
     rho: np.ndarray,
     *,
     oracle_config: OracleConfig | None = None,
-    tightness_restarts: int = 64,
-    seed: int = 42,
 ) -> BoundReport:
     """Certify the singular-value bound of a state as given.
 
     The report carries the bound, whether settings attaining it exist, and the
     best expectation actually constructed (tight decomposition if found, else
-    the see-saw optimum, whichever is larger).
+    the see-saw optimum, whichever is larger). The seed of ``oracle_config``
+    seeds both the tightness search and the see-saw.
     """
     corr = correlation_matrix(rho)
-    return _certify(
-        rho, corr, oracle_config=oracle_config, tightness_restarts=tightness_restarts, seed=seed
-    )
+    return _certify(rho, corr, oracle_config)
 
 
 def certify_filtered(
@@ -72,16 +67,8 @@ def certify_filtered(
     filters: FilterTriple,
     *,
     oracle_config: OracleConfig | None = None,
-    tightness_restarts: int = 64,
-    seed: int = 42,
 ) -> tuple[FilteredAnalysis, BoundReport]:
     """Filtered bound plus certification of the normalized filtered state."""
     fa = filtered_bound(rho, filters)
-    report = _certify(
-        fa.rho_prime,
-        fa.m_prime,
-        oracle_config=oracle_config,
-        tightness_restarts=tightness_restarts,
-        seed=seed,
-    )
+    report = _certify(fa.rho_prime, fa.m_prime, oracle_config)
     return fa, report

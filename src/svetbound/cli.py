@@ -8,6 +8,7 @@ cross-check failed (ConsistencyError).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -43,20 +44,59 @@ EXIT_ANNIHILATED = 4
 EXIT_NON_MONOTONE = 5
 EXIT_INCONSISTENT = 6
 
+# First match wins, so each ValueError subclass precedes ValueError itself.
+_EXIT_CODES = (
+    (StateFormatError, EXIT_USAGE),
+    (FilterAnnihilationError, EXIT_ANNIHILATED),
+    (PhysicalityError, EXIT_UNPHYSICAL),
+    (NonMonotonePredicateError, EXIT_NON_MONOTONE),
+    (ConsistencyError, EXIT_INCONSISTENT),
+    (ValueError, EXIT_USAGE),
+)
+
 # Grid steps finer than the bisection tolerance 1e-4 resolve nothing more.
 MAX_P_GRID_POINTS = 10_001
 
 
-def _num(value: float) -> str:
+def _fmt(value) -> str:
+    """Text form of a report value: floats to 16 digits, flags, none, vectors, x=.. y=.. z=.."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "none"
+    if isinstance(value, (str, int)):
+        return str(value)
+    if isinstance(value, dict):
+        return " ".join(f"{key}={_fmt(v)}" for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return " ".join(_fmt(v) for v in value)
     return format(value, ".15e")
 
 
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
+def _emit(report: dict, json_path: str | None) -> None:
+    """Print ``key: value`` lines, one per vector under ``settings``; write the same dict as JSON."""
+    for key, value in report.items():
+        rows = value.items() if key == "settings" else [(key, value)]
+        for name, item in rows:
+            print(f"{name}: {_fmt(item)}")
+    if json_path:
+        atomic_write_text(json_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(f"wrote json: {json_path}")
 
 
-def _vec(v: np.ndarray) -> str:
-    return " ".join(_num(float(x)) for x in v)
+def _settings_dict(settings) -> dict:
+    return {f.name: getattr(settings, f.name).tolist() for f in dataclasses.fields(settings)}
+
+
+def _certified(report) -> dict:
+    """The bound-report fields shared by ``bound`` and ``filter``."""
+    return {
+        "bound": report.bound,
+        "tight": report.tight,
+        "achieved": report.achieved,
+        "violates": report.violates,
+        "settings": _settings_dict(report.settings),
+    }
 
 
 def _add_state_source(parser: argparse.ArgumentParser) -> None:
@@ -85,55 +125,18 @@ def _resolve_state(args) -> tuple[np.ndarray, str]:
     return rho, label
 
 
-def _print_settings(settings) -> None:
-    for name, vec in (
-        ("a", settings.a),
-        ("a_prime", settings.a_prime),
-        ("b", settings.b),
-        ("b_prime", settings.b_prime),
-        ("c", settings.c),
-        ("c_prime", settings.c_prime),
-    ):
-        print(f"{name}: {_vec(vec)}")
-
-
-def _settings_dict(settings) -> dict:
-    return {
-        "a": settings.a.tolist(),
-        "a_prime": settings.a_prime.tolist(),
-        "b": settings.b.tolist(),
-        "b_prime": settings.b_prime.tolist(),
-        "c": settings.c.tolist(),
-        "c_prime": settings.c_prime.tolist(),
-    }
-
-
 def _cmd_bound(args) -> int:
     rho, label = _resolve_state(args)
-    report = certify_unfiltered(
-        rho, oracle_config=OracleConfig(seed=args.seed), seed=args.seed
-    )
-    print(f"state: {label}")
-    print(f"lambda1: {_num(report.lambda1)}")
-    print(f"degeneracy: {report.degeneracy}")
-    print(f"bound: {_num(report.bound)}")
-    print(f"tight: {_flag(report.tight)}")
-    print(f"achieved: {_num(report.achieved)}")
-    print(f"violates: {_flag(report.violates)}")
-    _print_settings(report.settings)
-    if args.json:
-        payload = {
+    report = certify_unfiltered(rho, oracle_config=OracleConfig(seed=args.seed))
+    _emit(
+        {
             "state": label,
             "lambda1": report.lambda1,
             "degeneracy": report.degeneracy,
-            "bound": report.bound,
-            "tight": report.tight,
-            "achieved": report.achieved,
-            "violates": report.violates,
-            "settings": _settings_dict(report.settings),
-        }
-        atomic_write_text(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote json: {args.json}")
+            **_certified(report),
+        },
+        args.json,
+    )
     return EXIT_OK
 
 
@@ -143,8 +146,7 @@ def _cmd_filter(args) -> int:
     if args.optimize:
         if any(explicit):
             raise ValueError("--optimize excludes -x, -y and -z")
-        spec = ScanSpec(seed=args.seed)
-        params, _ = optimize_filter(rho, spec)
+        params, _ = optimize_filter(rho)
         triple = params.triple()
         x, y, z = params.x, params.y, params.z
     else:
@@ -153,32 +155,17 @@ def _cmd_filter(args) -> int:
         x, y, z = args.x, args.y, args.z
         triple = FilterTriple.diagonal(x, y, z)
     _, n_literal = apply_filter(rho, triple)
-    fa, report = certify_filtered(
-        rho, triple, oracle_config=OracleConfig(seed=args.seed), seed=args.seed
-    )
-    print(f"state: {label}")
-    print(f"filter: x={_num(x)} y={_num(y)} z={_num(z)}")
-    print(f"n: {_num(n_literal)}")
-    print(f"lambda1_prime: {_num(fa.lambda1_prime)}")
-    print(f"bound: {_num(report.bound)}")
-    print(f"tight: {_flag(report.tight)}")
-    print(f"achieved: {_num(report.achieved)}")
-    print(f"violates: {_flag(report.violates)}")
-    _print_settings(report.settings)
-    if args.json:
-        payload = {
+    fa, report = certify_filtered(rho, triple, oracle_config=OracleConfig(seed=args.seed))
+    _emit(
+        {
             "state": label,
             "filter": {"x": x, "y": y, "z": z},
             "n": n_literal,
             "lambda1_prime": fa.lambda1_prime,
-            "bound": report.bound,
-            "tight": report.tight,
-            "achieved": report.achieved,
-            "violates": report.violates,
-            "settings": _settings_dict(report.settings),
-        }
-        atomic_write_text(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote json: {args.json}")
+            **_certified(report),
+        },
+        args.json,
+    )
     return EXIT_OK
 
 
@@ -186,26 +173,21 @@ def _cmd_oracle(args) -> int:
     rho, label = _resolve_state(args)
     config = OracleConfig(restarts=args.restarts, max_sweeps=args.sweeps, seed=args.seed)
     result = seesaw_max(rho, config)
-    print(f"state: {label}")
-    print(f"value: {_num(result.value)}")
-    print(f"converged: {_flag(result.converged)}")
-    print(f"sweeps: {result.sweeps_used}")
-    _print_settings(result.settings)
-    if not result.converged:
-        print(
-            f"warning: best see-saw start did not converge within {result.sweeps_used} sweeps",
-            file=sys.stderr,
-        )
-    if args.json:
-        payload = {
+    _emit(
+        {
             "state": label,
             "value": result.value,
             "converged": result.converged,
             "sweeps": result.sweeps_used,
             "settings": _settings_dict(result.settings),
-        }
-        atomic_write_text(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote json: {args.json}")
+        },
+        args.json,
+    )
+    if not result.converged:
+        print(
+            f"warning: best see-saw start did not converge within {result.sweeps_used} sweeps",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
@@ -229,48 +211,37 @@ def _cmd_scan(args) -> int:
         if args.family is not None or args.mode is not None:
             raise ValueError("--figure excludes --family and --mode")
         family = "chi" if args.figure == "fig1" else "ghz-noise"
-        spec_kwargs = {"family": family, "seed": args.seed}
-        if args.p_grid is not None:
-            spec_kwargs["p_grid"] = _parse_p_grid(args.p_grid)
-        report = figure_data(args.figure, ScanSpec(**spec_kwargs))
-        print(f"family: {report.family}")
-        unf = report.p_violation_unfiltered
-        filt = report.p_violation_filtered
-        print(f"p_violation_unfiltered: {'none' if unf is None else _num(unf)}")
-        print(f"p_violation_filtered: {'none' if filt is None else _num(filt)}")
-        if report.activation_window is None:
-            print("activation_window: none")
-        else:
-            lo, hi = report.activation_window
-            print(f"activation_window: {_num(lo)} {_num(hi)}")
+    else:
+        if args.family is None or args.mode is None:
+            raise ValueError("scan needs --figure, or --family with --mode")
         if args.csv:
-            write_csv(report, args.csv)
-            print(f"wrote csv: {args.csv}")
-        if args.json:
-            write_json(report, args.json)
-            print(f"wrote json: {args.json}")
-        return EXIT_OK
-
-    if args.family is None or args.mode is None:
-        raise ValueError("scan needs --figure, or --family with --mode")
-    if args.csv:
-        raise ValueError("--csv applies to --figure scans only")
-    spec_kwargs = {"family": args.family, "seed": args.seed}
+            raise ValueError("--csv applies to --figure scans only")
+        family = args.family
+    spec_kwargs = {"family": family, "seed": args.seed}
     if args.p_grid is not None:
         spec_kwargs["p_grid"] = _parse_p_grid(args.p_grid)
     spec = ScanSpec(**spec_kwargs)
-    threshold = threshold_bisect(spec, args.mode)
-    print(f"family: {spec.family}")
-    print(f"mode: {args.mode}")
-    print(f"threshold: {'none' if threshold is None else _num(threshold)}")
-    if args.json:
-        payload = {
-            "family": spec.family,
-            "mode": args.mode,
-            "threshold": threshold,
-        }
-        atomic_write_text(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote json: {args.json}")
+
+    if args.figure is None:
+        threshold = threshold_bisect(spec, args.mode)
+        _emit({"family": spec.family, "mode": args.mode, "threshold": threshold}, args.json)
+        return EXIT_OK
+
+    # A figure's JSON is the whole scan with its records, not the summary printed here.
+    report = figure_data(args.figure, spec)
+    _emit(
+        {
+            "family": report.family,
+            "p_violation_unfiltered": report.p_violation_unfiltered,
+            "p_violation_filtered": report.p_violation_filtered,
+            "activation_window": report.activation_window,
+        },
+        None,
+    )
+    for kind, path, write in (("csv", args.csv, write_csv), ("json", args.json, write_json)):
+        if path:
+            write(report, path)
+            print(f"wrote {kind}: {path}")
     return EXIT_OK
 
 
@@ -283,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="certified unfiltered bound of a state")
     _add_state_source(p_bound)
-    p_bound.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p_bound.set_defaults(func=_cmd_bound)
 
     p_filter = sub.add_parser("filter", help="filtered bound under diagonal filters")
@@ -292,14 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument("-y", type=float, default=None, help="filter strength for party B")
     p_filter.add_argument("-z", type=float, default=None, help="filter strength for party C")
     p_filter.add_argument("--optimize", action="store_true", help="search for the best strengths")
-    p_filter.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p_filter.set_defaults(func=_cmd_filter)
 
     p_oracle = sub.add_parser("oracle", help="see-saw lower bound on the maximal expectation")
     _add_state_source(p_oracle)
     p_oracle.add_argument("--restarts", type=int, default=100)
     p_oracle.add_argument("--sweeps", type=int, default=500)
-    p_oracle.add_argument("--json", metavar="PATH", help="also write the result as JSON")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_scan = sub.add_parser("scan", help="activation scan or threshold bisection over p")
@@ -308,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--mode", choices=("unfiltered", "filtered"))
     p_scan.add_argument("--p-grid", metavar="START:END:STEP", help="grid over p, end inclusive")
     p_scan.add_argument("--csv", metavar="PATH", help="write per-p records as CSV")
-    p_scan.add_argument("--json", metavar="PATH", help="write the report as JSON")
     p_scan.set_defaults(func=_cmd_scan)
 
     for sp in (p_bound, p_filter, p_oracle, p_scan):
+        sp.add_argument("--json", metavar="PATH", help="also write the report as JSON")
         sp.add_argument("--seed", type=int, default=42, help="seed for every stochastic search")
     return parser
 
@@ -324,26 +292,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except StateFormatError as exc:
+    except (ValueError, NonMonotonePredicateError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FilterAnnihilationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANNIHILATED
-    except PhysicalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNPHYSICAL
-    except NonMonotonePredicateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for lo, hi in exc.brackets:
-            print(f"bracket: {_num(lo)} {_num(hi)}", file=sys.stderr)
-        return EXIT_NON_MONOTONE
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, NonMonotonePredicateError):
+            for lo, hi in exc.brackets:
+                print(f"bracket: {_fmt(lo)} {_fmt(hi)}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

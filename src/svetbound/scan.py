@@ -22,6 +22,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,8 +34,16 @@ from .filtering import FilteredAnalysis, FilterParams, filtered_bound
 from .linalg import lorentz_map, pauli_moments
 from .seesaw import OracleConfig
 from .states import build_chi_state, build_ghz_noise_state
+from .svetlichny import BoundReport
 
 BISECT_TOL = 1e-4
+
+# Filter-search budget: log10 range of the strengths and Nelder-Mead evaluations.
+FILTER_LOG_RANGE = (-3.0, 3.0)
+REFINE_EVALS = 200
+
+# See-saw restarts per certification in a scan.
+ORACLE_RESTARTS = 8
 
 # Known boundary of the bilocal-model region for the chi family, quoted from
 # tabulated two-qubit results. Used only to annotate the activation window;
@@ -52,22 +61,28 @@ def build_family_state(family: str, p: float, theta: float = math.pi / 8) -> np.
 
 @dataclass
 class ScanSpec:
-    """Parameters of a scan: state family, p grid, and filter-search budget."""
+    """Parameters of a scan: state family, chi angle, p grid and seed."""
 
     family: str = "chi"
     theta: float = math.pi / 8
     p_grid: np.ndarray = field(default_factory=lambda: np.round(np.arange(0.0, 1.0 + 1e-9, 0.01), 10))
-    filter_log_range: tuple[float, float] = (-3.0, 3.0)
-    filter_grid_points: int = 25
-    refine_evals: int = 200
     seed: int = 42
-    oracle_restarts: int = 8
-    tightness_restarts: int = 64
+    # Strengths per party on the log-spaced grid that seeds optimize_filter.
+    filter_grid_points: ClassVar[int] = 25
 
     def __post_init__(self):
         if self.family not in ("chi", "ghz-noise"):
             raise ValueError(f"unknown family {self.family!r}, expected 'chi' or 'ghz-noise'")
         self.p_grid = np.asarray(self.p_grid, dtype=float)
+        grid = self.p_grid
+        # Bisection brackets the sign change between neighbours, so the grid must ascend.
+        if (
+            grid.ndim != 1
+            or not np.all(np.isfinite(grid))
+            or np.any((grid < 0.0) | (grid > 1.0))
+            or np.any(np.diff(grid) <= 0.0)
+        ):
+            raise ValueError("p_grid must be a 1-d, finite, strictly increasing grid inside [0, 1]")
 
 
 def _diagonal_maps(xs) -> np.ndarray:
@@ -124,23 +139,22 @@ def _top_starts(grid: np.ndarray, xs: np.ndarray, count: int) -> list[np.ndarray
     return starts
 
 
-def optimize_filter(rho: np.ndarray, spec: ScanSpec | None = None) -> tuple[FilterParams, FilteredAnalysis]:
+def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
     """Diagonal filter strengths maximizing the filtered bound for a state.
 
     Grid-seeds bounded Nelder-Mead refinements of both the leading and the
     second normalized singular value, then ranks all candidates (grid argmax
     and identity included) by the leading value.
     """
-    spec = spec or ScanSpec()
-    lo, hi = spec.filter_log_range
-    xs = np.logspace(lo, hi, spec.filter_grid_points)
+    lo, hi = FILTER_LOG_RANGE
+    xs = np.logspace(lo, hi, ScanSpec.filter_grid_points)
     q = pauli_moments(rho)
     lam1, lam2 = _lambda_grids(q, xs)
 
     seeds = []
     for grid, which in ((lam1, 0), (lam2, 1)):
         seeds.extend((start, which) for start in _top_starts(grid, xs, 2))
-    budget = max(spec.refine_evals // max(len(seeds), 1), 20)
+    budget = max(REFINE_EVALS // max(len(seeds), 1), 20)
 
     candidates = [np.ones(3)]
     argmax = np.unravel_index(np.argmax(lam1), lam1.shape)
@@ -188,26 +202,22 @@ class ActivationReport:
     annotations: dict
 
 
-def _oracle_config(spec: ScanSpec) -> OracleConfig:
-    return OracleConfig(restarts=spec.oracle_restarts, seed=spec.seed)
+def _certify_at(spec: ScanSpec, rho: np.ndarray, mode: str) -> tuple[BoundReport, FilterParams | None]:
+    """Certified report of ``rho`` as given or under its optimized filter, and that filter."""
+    config = OracleConfig(restarts=ORACLE_RESTARTS, seed=spec.seed)
+    if mode == "unfiltered":
+        return certify_unfiltered(rho, oracle_config=config), None
+    if mode == "filtered":
+        params, _ = optimize_filter(rho)
+        _, report = certify_filtered(rho, params.triple(), oracle_config=config)
+        return report, params
+    raise ValueError(f"unknown mode {mode!r}, expected 'unfiltered' or 'filtered'")
 
 
 def _point_record(spec: ScanSpec, p: float) -> PointRecord:
     rho = build_family_state(spec.family, p, spec.theta)
-    unf = certify_unfiltered(
-        rho,
-        oracle_config=_oracle_config(spec),
-        tightness_restarts=spec.tightness_restarts,
-        seed=spec.seed,
-    )
-    params, _ = optimize_filter(rho, spec)
-    _, filt = certify_filtered(
-        rho,
-        params.triple(),
-        oracle_config=_oracle_config(spec),
-        tightness_restarts=spec.tightness_restarts,
-        seed=spec.seed,
-    )
+    unf, _ = _certify_at(spec, rho, "unfiltered")
+    filt, params = _certify_at(spec, rho, "filtered")
     return PointRecord(
         p=float(p),
         unfiltered_bound=unf.bound,
@@ -224,25 +234,8 @@ def _point_record(spec: ScanSpec, p: float) -> PointRecord:
 
 def _violates_at(spec: ScanSpec, p: float, mode: str) -> bool:
     rho = build_family_state(spec.family, p, spec.theta)
-    if mode == "unfiltered":
-        report = certify_unfiltered(
-            rho,
-            oracle_config=_oracle_config(spec),
-            tightness_restarts=spec.tightness_restarts,
-            seed=spec.seed,
-        )
-        return report.violates
-    if mode == "filtered":
-        params, _ = optimize_filter(rho, spec)
-        _, report = certify_filtered(
-            rho,
-            params.triple(),
-            oracle_config=_oracle_config(spec),
-            tightness_restarts=spec.tightness_restarts,
-            seed=spec.seed,
-        )
-        return report.violates
-    raise ValueError(f"unknown mode {mode!r}, expected 'unfiltered' or 'filtered'")
+    report, _ = _certify_at(spec, rho, mode)
+    return report.violates
 
 
 def _threshold(spec: ScanSpec, mode: str, ps: list[float], flags: list[bool], what: str) -> float | None:

@@ -21,6 +21,7 @@ from .svetlichny import CorrelationMatrix, MeasurementSettings, optimal_bb
 
 RESIDUAL_TOL = 1e-6
 _EXACT_BREAK = 1e-16
+_MAX_ITER = 2000
 
 
 def _units_from_angles(ang: np.ndarray) -> np.ndarray:
@@ -77,7 +78,6 @@ def check_tightness(
     *,
     restarts: int = 64,
     seed: int = 42,
-    max_iter: int = 2000,
 ) -> DecompositionResult:
     """Look for outer settings whose pair (t1, t2) spans the leading subspace.
 
@@ -102,7 +102,7 @@ def check_tightness(
             args=(basis,),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": max_iter, "ftol": 1e-18, "gtol": 1e-14},
+            options={"maxiter": _MAX_ITER, "ftol": 1e-18, "gtol": 1e-14},
         )
         if res.fun < best_f:
             best_f, best_ang = res.fun, res.x

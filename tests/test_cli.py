@@ -4,10 +4,18 @@ import math
 import numpy as np
 import pytest
 
+import svetbound.cli as cli_module
 from svetbound.cli import main
+from svetbound.errors import (
+    ConsistencyError,
+    FilterAnnihilationError,
+    PhysicalityError,
+    StateFormatError,
+)
 from svetbound.states import build_ghz_noise_state, save_state
 
 SQ2 = math.sqrt(2.0)
+SETTING_KEYS = ["a", "a_prime", "b", "b_prime", "c", "c_prime"]
 
 
 def run(capsys, argv):
@@ -16,12 +24,65 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def out_keys(text):
+    return [line.partition(": ")[0] for line in text.splitlines()]
+
+
 def out_map(text):
     pairs = {}
     for line in text.strip().splitlines():
         key, _, value = line.partition(": ")
         pairs[key] = value
     return pairs
+
+
+class TestOutputLayout:
+    """Stdout keys come in a fixed order; a --json file holds the same keys, settings nested."""
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (
+                ["bound", "--family", "chi", "--p", "0.5"],
+                ["state", "lambda1", "degeneracy", "bound", "tight", "achieved", "violates",
+                 *SETTING_KEYS],
+            ),
+            (
+                ["filter", "--family", "ghz-noise", "--p", "0.5", "-x", "2", "-y", "1", "-z", "1"],
+                ["state", "filter", "n", "lambda1_prime", "bound", "tight", "achieved",
+                 "violates", *SETTING_KEYS],
+            ),
+            (
+                ["oracle", "--family", "ghz-noise", "--p", "0.8", "--restarts", "3"],
+                ["state", "value", "converged", "sweeps", *SETTING_KEYS],
+            ),
+            (
+                ["scan", "--family", "ghz-noise", "--mode", "unfiltered", "--p-grid", "0.1:0.3:0.1"],
+                ["family", "mode", "threshold"],
+            ),
+        ],
+    )
+    def test_text_keys_match_json_keys(self, capsys, tmp_path, argv, keys):
+        path = tmp_path / "report.json"
+        code, out, _ = run(capsys, [*argv, "--json", str(path)])
+        assert code == 0
+        assert out_keys(out) == [*keys, "wrote json"]
+        payload = json.loads(path.read_text())
+        top = [k for k in keys if k not in SETTING_KEYS]
+        if "a" in keys:
+            top.append("settings")
+            assert sorted(payload["settings"]) == sorted(SETTING_KEYS)
+        assert sorted(payload) == sorted(top)
+
+    def test_filter_value_format(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["filter", "--family", "ghz-noise", "--p", "0.5", "-x", "2", "-y", "1", "-z", "0.5"],
+        )
+        assert code == 0
+        assert out_map(out)["filter"] == (
+            "x=2.000000000000000e+00 y=1.000000000000000e+00 z=5.000000000000000e-01"
+        )
 
 
 class TestBoundCommand:
@@ -176,6 +237,10 @@ class TestScanCommand:
              "--csv", str(csv_path), "--json", str(json_path)],
         )
         assert code == 0
+        assert out_keys(out) == [
+            "family", "p_violation_unfiltered", "p_violation_filtered", "activation_window",
+            "wrote csv", "wrote json",
+        ]
         assert csv_path.exists() and json_path.exists()
         payload = json.loads(json_path.read_text())
         assert payload["family"] == "ghz-noise"
@@ -260,6 +325,36 @@ class TestErrorPaths:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: trace and bilinear routes disagree")
+
+    @pytest.mark.parametrize(
+        "exc, expected",
+        [
+            (StateFormatError("bad layout"), 2),
+            (PhysicalityError("not positive"), 3),
+            (FilterAnnihilationError("annihilated"), 4),
+            (ConsistencyError("routes disagree"), 6),
+            (ValueError("bad value"), 2),
+        ],
+    )
+    def test_exit_code_table(self, capsys, monkeypatch, exc, expected):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "certify_unfiltered", fail)
+        code, out, err = run(capsys, ["bound", "--family", "chi", "--p", "0.5"])
+        assert code == expected
+        assert out == ""
+        assert err == f"error: {exc}\n"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        """Only the tabled exceptions become exit codes; a bug still raises."""
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(cli_module, "certify_unfiltered", fail)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["bound", "--family", "chi", "--p", "0.5"])
 
     def test_missing_p_exit_2(self, capsys):
         code, _, _ = run(capsys, ["bound", "--family", "chi"])

@@ -202,6 +202,20 @@ class TestScanSpec:
         with pytest.raises(ValueError, match="family"):
             ScanSpec(family="w-state")
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.9, 0.6], [0.5, 1.5], [-0.1, 0.5], [0.2, 0.2], [0.1, np.nan], [[0.1, 0.2]], 0.5],
+    )
+    def test_rejects_bad_grid_before_certifying(self, monkeypatch, grid):
+        """A descending grid would bisect an unrefined midpoint; [0.5, 1.5] used to fail late."""
+        import svetbound.scan as scan_module
+
+        calls = []
+        monkeypatch.setattr(scan_module, "certify_unfiltered", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="p_grid"):
+            threshold_bisect(ScanSpec(family="ghz-noise", p_grid=grid), "unfiltered")
+        assert calls == []
+
     def test_build_family_state_dispatch(self):
         np.testing.assert_allclose(
             build_family_state("chi", 0.3), build_chi_state(0.3), atol=1e-15
