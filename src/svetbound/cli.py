@@ -203,7 +203,9 @@ def _parse_p_grid(text: str) -> np.ndarray:
         raise ValueError("--p-grid needs 0 <= start < end <= 1 and a finite step > 0")
     if math.ceil((end + step / 2.0 - start) / step) > MAX_P_GRID_POINTS:
         raise ValueError(f"--p-grid has more than {MAX_P_GRID_POINTS} points")
-    return np.round(np.arange(start, end + step / 2.0, step), 12)
+    # Points past END by more than the grid's 1e-12 rounding are dropped.
+    grid = np.round(np.arange(start, end + step / 2.0, step), 12)
+    return grid[grid <= end + 1e-12]
 
 
 def _cmd_scan(args) -> int:

@@ -10,6 +10,7 @@ from .errors import ConsistencyError
 
 DEGENERACY_RTOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-12
+PSD_TOL = 1e-12
 
 _SIGMA4 = np.array(
     [
@@ -68,27 +69,25 @@ def lorentz_map(g: np.ndarray) -> np.ndarray:
     return np.einsum("nab,...mba->...mn", _SIGMA4, moved).real / 2.0
 
 
-def real_expectation(
-    rho: np.ndarray, op: np.ndarray, *, tol: float = IMAG_RESIDUE_TOL, scale: float = 1.0
-) -> float:
+def real_expectation(rho: np.ndarray, op: np.ndarray, *, scale: float = 1.0) -> float:
     """tr(rho @ op) for a Hermitian observable.
 
     The trace of a Hermitian product is real up to roundoff; an imaginary
-    residue above ``tol`` means the inputs were not what they claimed to be.
+    residue above IMAG_RESIDUE_TOL means the inputs were not what they claimed to be.
     Roundoff grows with the operator norm, so callers working with large
     operators pass that norm as ``scale``.
     """
     val = np.einsum("ij,ji->", rho, op)
-    if abs(val.imag) > tol * max(1.0, scale):
+    if abs(val.imag) > IMAG_RESIDUE_TOL * max(1.0, scale):
         raise ConsistencyError(f"expectation has imaginary residue {abs(val.imag):.3e}")
     return float(val.real)
 
 
-def spectral_2x2_psd(f: np.ndarray, *, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def spectral_2x2_psd(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral factors (u, s) of a Hermitian PSD 2x2 matrix, f = u @ diag(s) @ u^dag.
 
-    Eigenvalues come back in nonincreasing order. Values in [-tol, 0) are
-    clipped to zero; anything below -tol is rejected.
+    Eigenvalues come back in nonincreasing order. Values in [-PSD_TOL, 0) are
+    clipped to zero; a lower one or a Hermiticity residual above PSD_TOL is rejected.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != (2, 2):
@@ -96,10 +95,10 @@ def spectral_2x2_psd(f: np.ndarray, *, tol: float = 1e-12) -> tuple[np.ndarray, 
     if not np.isfinite(f).all():
         raise ValueError("matrix has non-finite entries")
     herm = np.abs(f - f.conj().T).max()
-    if herm > tol:
+    if herm > PSD_TOL:
         raise ValueError(f"matrix is not Hermitian, residual {herm:.3e}")
     w, v = np.linalg.eigh(f)
-    if w[0] < -tol:
+    if w[0] < -PSD_TOL:
         raise ValueError(f"matrix is not positive semidefinite, min eigenvalue {w[0]:.3e}")
     # Stable order keeps the eigenbasis of an already-diagonal input intact.
     order = np.argsort(-w, kind="stable")
@@ -121,15 +120,14 @@ class SVDResult:
     left_vectors: np.ndarray
     right_vectors: np.ndarray
 
-    def degeneracy(self, rtol: float = DEGENERACY_RTOL) -> int:
-        """Multiplicity of the leading singular value at relative tolerance rtol."""
+    def degeneracy(self) -> int:
+        """Multiplicity of the leading singular value at relative tolerance DEGENERACY_RTOL."""
         s = self.singular_values
-        return int(np.sum(np.abs(s - s[0]) <= rtol * max(1.0, s[0])))
+        return int(np.sum(np.abs(s - s[0]) <= DEGENERACY_RTOL * max(1.0, s[0])))
 
-    def leading_right_basis(self, rtol: float = DEGENERACY_RTOL) -> np.ndarray:
+    def leading_right_basis(self) -> np.ndarray:
         """Orthonormal rows spanning the leading right-singular subspace."""
-        k = self.degeneracy(rtol)
-        return self.right_vectors[:, :k].T.copy()
+        return self.right_vectors[:, : self.degeneracy()].T.copy()
 
     def reconstruct(self) -> np.ndarray:
         return (self.left_vectors * self.singular_values) @ self.right_vectors[:, :3].T

@@ -9,7 +9,7 @@ All starts advance together. The warm starts, then the seeded random
 restarts, are stacked as six (R, 3) blocks of Bloch vectors, and one sweep
 updates every row with matmuls against 9x3 layouts of the tensor. A convergence
 mask drops a row from the active blocks once its own gain in a sweep falls
-below the tolerance; its vectors and value are frozen from then on, so each
+below CONVERGENCE_TOL; its vectors and value are frozen from then on, so each
 start ends where it would end alone. The update functions broadcast over a
 leading axis, so single (3,) vectors work as well.
 """
@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .svetlichny import MeasurementSettings, correlation_matrix
+from .svetlichny import DEGENERATE_DIRECTION_TOL, MeasurementSettings, correlation_matrix
 
-_DEGENERATE_TOL = 1e-12
+# A start stops once its value gains less than this in one sweep.
+CONVERGENCE_TOL = 1e-12
 # Starts are allocated up front as R x 6 x 3 floats: 100 000 starts take 14 MB.
 MAX_RESTARTS = 100_000
 
@@ -60,9 +61,9 @@ def _pair_images(x, xp, y, yp, layout) -> np.ndarray:
 
 
 def _normalized_pair(images: np.ndarray, previous):
-    """Unit vectors along both images; one at or below the tolerance keeps its previous value."""
+    """Unit vectors along both images; a near-zero image keeps its previous value."""
     norms = np.sqrt((images * images).sum(axis=0))
-    usable = norms > _DEGENERATE_TOL
+    usable = norms > DEGENERATE_DIRECTION_TOL
     if not usable.all():
         images = np.where(usable, images, np.stack([_columns(p) for p in previous], -1).reshape(3, -1))
         norms = np.where(usable, norms, 1.0)
@@ -108,7 +109,6 @@ def update_c_pair(t, a, ap, b, bp, previous):
 class OracleConfig:
     restarts: int = 100
     max_sweeps: int = 500
-    convergence_tol: float = 1e-12
     seed: int = 42
 
 
@@ -131,8 +131,8 @@ def seesaw_max(
     """Lower bound on the maximal Svetlichny expectation of a state.
 
     Runs seeded random restarts (warm starts first) of exact alternating
-    updates until the per-sweep improvement drops below the configured
-    tolerance. The returned value never exceeds 4 * lambda_1.
+    updates until the per-sweep improvement drops below CONVERGENCE_TOL. The
+    returned value never exceeds 4 * lambda_1.
     """
     config = config or OracleConfig()
     corr = correlation_matrix(rho)
@@ -184,7 +184,7 @@ def seesaw_from_matrix(
         b, bp = update_b_pair(t, a, ap, c, cp, previous=(b, bp))
         a, ap = update_a_pair(t, b, bp, c, cp, previous=(a, ap))
         c, cp, value = _update_c_with_value(t, a, ap, b, bp, previous=(c, cp))
-        done = value - prev < config.convergence_tol
+        done = value - prev < CONVERGENCE_TOL
         prev = value
         if done.any():
             stopped, keep = active[done], ~done

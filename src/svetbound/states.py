@@ -24,12 +24,15 @@ REPAIR_TOL = 1e-10
 def validate_state(rho: np.ndarray, *, name: str = "state") -> np.ndarray:
     """Check density-matrix invariants and return the state as complex128.
 
-    Raises PhysicalityError if the matrix is not Hermitian to 1e-12, not unit
-    trace to 1e-12, or has an eigenvalue below -1e-10.
+    Raises ValueError for a wrong shape or a non-finite entry, and
+    PhysicalityError if the matrix is not Hermitian to 1e-12, not unit trace
+    to 1e-12, or has an eigenvalue below -1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (STATE_DIM, STATE_DIM):
         raise ValueError(f"{name} must be {STATE_DIM}x{STATE_DIM}, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError(f"{name} has non-finite entries")
     herm = np.abs(rho - rho.conj().T).max()
     if herm > HERMITICITY_TOL:
         raise PhysicalityError(f"{name} hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL:g}")
@@ -94,6 +97,9 @@ def _parse_part(payload: dict, key: str) -> np.ndarray:
         raise StateFormatError(f"field '{key}' is not a numeric matrix") from exc
     if part.shape != (STATE_DIM, STATE_DIM):
         raise StateFormatError(f"field '{key}' must be {STATE_DIM}x{STATE_DIM}, got shape {part.shape}")
+    # json accepts NaN and Infinity, and NaN would pass every tolerance check in load_state.
+    if not np.isfinite(part).all():
+        raise StateFormatError(f"field '{key}' has non-finite entries")
     return part
 
 

@@ -20,8 +20,8 @@ from .linalg import SVDResult
 from .svetlichny import CorrelationMatrix, MeasurementSettings, optimal_bb
 
 RESIDUAL_TOL = 1e-6
-_EXACT_BREAK = 1e-16
-_MAX_ITER = 2000
+_RESTARTS = 64
+_LBFGS_OPTIONS = {"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14}
 
 
 def _units_from_angles(ang: np.ndarray) -> np.ndarray:
@@ -61,7 +61,7 @@ class DecompositionResult:
 
     ``found`` means the best residual is at most 1e-6, in which case the
     vectors realize the decomposition; otherwise they are the best candidates
-    seen. ``mixing_angle`` locates t1 within the degenerate subspace.
+    seen.
     """
 
     found: bool
@@ -69,31 +69,26 @@ class DecompositionResult:
     a_prime: np.ndarray | None
     c: np.ndarray | None
     c_prime: np.ndarray | None
-    mixing_angle: float | None
     residual: float
 
 
-def check_tightness(
-    svd: SVDResult,
-    *,
-    restarts: int = 64,
-    seed: int = 42,
-) -> DecompositionResult:
+def check_tightness(svd: SVDResult, *, seed: int = 42) -> DecompositionResult:
     """Look for outer settings whose pair (t1, t2) spans the leading subspace.
 
-    Runs seeded multistart quasi-Newton descent. With the leading singular
-    value nondegenerate no two orthogonal vectors fit, so the search is
-    skipped and the result reports found=False.
+    Runs up to 64 seeded quasi-Newton descents and stops at the first whose
+    residual is at most RESIDUAL_TOL. With the leading singular value
+    nondegenerate no two orthogonal vectors fit, so the search is skipped and
+    the result reports found=False.
     """
     if svd.degeneracy() < 2:
         return DecompositionResult(
             found=False, a=None, a_prime=None, c=None, c_prime=None,
-            mixing_angle=None, residual=float("inf"),
+            residual=float("inf"),
         )
     basis = svd.leading_right_basis()
     rng = np.random.default_rng(seed)
-    best_f, best_ang = float("inf"), None
-    for _ in range(restarts):
+    best_f, best_ang, residual = float("inf"), None, float("inf")
+    for _ in range(_RESTARTS):
         ang0 = rng.uniform(0.0, np.pi, size=8)
         ang0[1::2] *= 2.0
         res = minimize(
@@ -102,21 +97,19 @@ def check_tightness(
             args=(basis,),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": _MAX_ITER, "ftol": 1e-18, "gtol": 1e-14},
+            options=_LBFGS_OPTIONS,
         )
         if res.fun < best_f:
             best_f, best_ang = res.fun, res.x
-        if best_f < _EXACT_BREAK:
+            residual = float(np.sqrt(max(best_f, 0.0)))
+        found = residual <= RESIDUAL_TOL
+        if found:
             break
 
-    residual = float(np.sqrt(max(best_f, 0.0)))
     a, ap, c, cp = _units_from_angles(best_ang)
-    alpha = basis @ (np.kron(a, c) - np.kron(ap, cp))
-    mixing = float(np.arctan2(alpha[1], alpha[0])) if alpha.shape[0] >= 2 else 0.0
     return DecompositionResult(
-        found=residual <= RESIDUAL_TOL,
+        found=found,
         a=a, a_prime=ap, c=c, c_prime=cp,
-        mixing_angle=mixing,
         residual=residual,
     )
 

@@ -260,6 +260,42 @@ class TestScanCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "grid, expected",
+        [
+            ("0:0.5:0.3", [0.0, 0.3]),
+            ("0.5:1:0.3", [0.5, 0.8]),
+            ("0.1:0.7:0.3", [0.1, 0.4, 0.7]),
+        ],
+    )
+    def test_grid_stops_at_end(self, grid, expected):
+        np.testing.assert_array_equal(cli_module._parse_p_grid(grid), expected)
+
+    @pytest.mark.parametrize(
+        "grid, points, last",
+        [("0:0.96:0.1", 10, 0.9), ("0:1:0.05", 21, 1.0), ("0:1:0.01", 101, 1.0)],
+    )
+    def test_grid_length_and_last_point(self, grid, points, last):
+        parsed = cli_module._parse_p_grid(grid)
+        assert len(parsed) == points
+        assert parsed[-1] == last
+
+    def test_grid_past_one_is_not_scanned(self, capsys, monkeypatch):
+        """0.5:1:0.3 once produced p = 1.1 and failed in ScanSpec; now it scans 0.5 and 0.8."""
+        seen = []
+
+        def no_threshold(spec, mode):
+            seen.append(spec.p_grid)
+            return None
+
+        monkeypatch.setattr(cli_module, "threshold_bisect", no_threshold)
+        code, out, _ = run(
+            capsys, ["scan", "--family", "chi", "--mode", "unfiltered", "--p-grid", "0.5:1:0.3"]
+        )
+        assert code == 0
+        assert "threshold: none" in out
+        np.testing.assert_array_equal(seen[0], [0.5, 0.8])
+
     def test_figure_excludes_family(self, capsys):
         code, _, _ = run(capsys, ["scan", "--figure", "fig1", "--family", "chi"])
         assert code == 2
@@ -283,6 +319,19 @@ class TestErrorPaths:
         path.write_text("{broken")
         code, _, _ = run(capsys, ["bound", "--state", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_state_exit_2(self, capsys, tmp_path, token):
+        """One error line naming the field, and no RuntimeWarning from the eigensolver."""
+        re = (np.eye(8) / 8).tolist()
+        re[0][0] = "TOKEN"
+        path = tmp_path / "nonfinite.json"
+        payload = {"dim": 8, "re": re, "im": np.zeros((8, 8)).tolist()}
+        path.write_text(json.dumps(payload).replace('"TOKEN"', token))
+        code, out, err = run(capsys, ["bound", "--state", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: field 're' has non-finite entries"]
 
     def test_missing_state_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["bound", "--state", str(tmp_path / "gone.json")])

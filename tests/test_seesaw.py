@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_density
 from svetbound.seesaw import (
+    CONVERGENCE_TOL,
     MAX_RESTARTS,
     OracleConfig,
     _starts,
@@ -123,7 +124,7 @@ def _reference_seesaw(t, starts, config):
             a, ap = update_a_pair(t, b, bp, c, cp, previous=(a, ap))
             c, cp = update_c_pair(t, a, ap, b, bp, previous=(c, cp))
             value = bilinear_value(t, a, ap, b, bp, c, cp)
-            if value - prev < config.convergence_tol:
+            if value - prev < CONVERGENCE_TOL:
                 converged = True
                 break
             prev = value

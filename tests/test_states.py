@@ -78,6 +78,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_state(np.eye(4) / 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry(self, bad):
+        rho = np.eye(8, dtype=complex) / 8
+        rho[2, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_state(rho)
+
 
 class TestRoundTrip:
     def test_save_load(self, tmp_path, rng):
@@ -152,6 +159,17 @@ class TestRoundTrip:
         path = tmp_path / "nonnum.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(StateFormatError, match="numeric"):
+            load_state(str(path))
+
+    @pytest.mark.parametrize("key", ["re", "im"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite(self, tmp_path, key, token):
+        """json reads NaN and Infinity; the field that holds one is named."""
+        parts = {"re": (np.eye(8) / 8).tolist(), "im": np.zeros((8, 8)).tolist()}
+        parts[key][3][3] = "TOKEN"
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps({"dim": 8, **parts}).replace('"TOKEN"', token))
+        with pytest.raises(StateFormatError, match=f"field '{key}' has non-finite entries"):
             load_state(str(path))
 
     def test_rejects_missing_file(self, tmp_path):

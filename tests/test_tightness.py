@@ -1,17 +1,65 @@
 import numpy as np
 import pytest
 
+import svetbound.tightness as tightness
 from conftest import random_density, random_su2
 from svetbound.filtering import FilterTriple, filtered_bound
 from svetbound.linalg import svd_3x9, tensor
+from svetbound.scan import optimize_filter
 from svetbound.states import build_chi_state, build_ghz_noise_state
 from svetbound.svetlichny import correlation_matrix, svetlichny_value
-from svetbound.tightness import assemble_settings, check_tightness
+from svetbound.tightness import RESIDUAL_TOL, assemble_settings, check_tightness
 
 
 def subspace_projector(rows: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(rows.T)
     return q @ q.T
+
+
+def unattainable_matrix() -> np.ndarray:
+    """Leading right vectors I/sqrt(3) and (E01 - E10)/sqrt(2): degenerate, deficit 2/3."""
+    v1 = (np.eye(3) / np.sqrt(3.0)).ravel()
+    j = np.zeros((3, 3))
+    j[0, 1], j[1, 0] = 1.0, -1.0
+    v2 = (j / np.sqrt(2.0)).ravel()
+    return np.outer([1.0, 0.0, 0.0], v1) + np.outer([0.0, 1.0, 0.0], v2)
+
+
+def residual_of(fun: float) -> float:
+    return float(np.sqrt(max(fun, 0.0)))
+
+
+@pytest.fixture
+def lbfgs_runs(monkeypatch):
+    """Final objective values of every L-BFGS run that check_tightness makes."""
+    funs = []
+    inner = tightness.minimize
+
+    def spy(*args, **kwargs):
+        res = inner(*args, **kwargs)
+        funs.append(float(res.fun))
+        return res
+
+    monkeypatch.setattr(tightness, "minimize", spy)
+    return funs
+
+
+def exhaustive_found(svd, seed: int = 42) -> bool:
+    """Whether any of all the seeded restarts reaches RESIDUAL_TOL, none skipped."""
+    if svd.degeneracy() < 2:
+        return False
+    basis = svd.leading_right_basis()
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(tightness._RESTARTS):
+        ang0 = rng.uniform(0.0, np.pi, size=8)
+        ang0[1::2] *= 2.0
+        res = tightness.minimize(
+            tightness._objective_and_grad, ang0, args=(basis,), jac=True, method="L-BFGS-B",
+            options=tightness._LBFGS_OPTIONS,
+        )
+        best = min(best, res.fun)
+    return residual_of(best) <= RESIDUAL_TOL
 
 
 class TestFamilyDecompositions:
@@ -24,7 +72,6 @@ class TestFamilyDecompositions:
         assert dec.residual <= 1e-6
         for vec in (dec.a, dec.a_prime, dec.c, dec.c_prime):
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
-        assert np.isfinite(dec.mixing_angle)
 
     @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
     def test_pair_spans_leading_subspace(self, build):
@@ -85,18 +132,15 @@ class TestFailurePaths:
         assert dec.residual == np.inf
         assert dec.a is None
 
-    def test_degenerate_but_unattainable(self):
+    def test_degenerate_but_unattainable(self, lbfgs_runs):
         """A degenerate subspace without product vectors admits no settings pair.
 
         With leading right vectors I/sqrt(3) and (E01 - E10)/sqrt(2) the best
-        captured weight is 10/3, leaving a deficit of exactly 2/3.
+        captured weight is 10/3, leaving a deficit of exactly 2/3. No restart
+        certifies, so all of them run.
         """
-        v1 = (np.eye(3) / np.sqrt(3.0)).ravel()
-        j = np.zeros((3, 3))
-        j[0, 1], j[1, 0] = 1.0, -1.0
-        v2 = (j / np.sqrt(2.0)).ravel()
-        m = np.outer([1.0, 0.0, 0.0], v1) + np.outer([0.0, 1.0, 0.0], v2)
-        dec = check_tightness(svd_3x9(m), restarts=32)
+        dec = check_tightness(svd_3x9(unattainable_matrix()))
+        assert len(lbfgs_runs) == tightness._RESTARTS
         assert not dec.found
         assert dec.residual == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-6)
 
@@ -104,8 +148,40 @@ class TestFailurePaths:
         corr = correlation_matrix(build_chi_state(0.5))
         dec = check_tightness(corr.svd)
         broken = type(dec)(
-            found=False, a=None, a_prime=None, c=None, c_prime=None,
-            mixing_angle=None, residual=np.inf,
+            found=False, a=None, a_prime=None, c=None, c_prime=None, residual=np.inf,
         )
         with pytest.raises(ValueError):
             assemble_settings(broken, corr)
+
+
+class TestStopRule:
+    """The search stops on the same comparison that sets ``found``."""
+
+    @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_stops_at_first_certifying_run(self, lbfgs_runs, build, p):
+        dec = check_tightness(correlation_matrix(build(p)).svd)
+        residuals = [residual_of(f) for f in lbfgs_runs]
+        assert dec.found
+        assert residuals[-1] <= RESIDUAL_TOL
+        assert all(r > RESIDUAL_TOL for r in residuals[:-1])
+        assert dec.residual == residuals[-1]
+
+    @pytest.mark.parametrize(
+        "make_svd",
+        [
+            lambda: correlation_matrix(build_chi_state(0.35)).svd,
+            lambda: correlation_matrix(build_ghz_noise_state(0.45)).svd,
+            lambda: correlation_matrix(build_ghz_noise_state(1.0)).svd,
+            lambda: optimize_filter(build_chi_state(0.5))[1].m_prime.svd,
+            lambda: optimize_filter(build_ghz_noise_state(0.4))[1].m_prime.svd,
+            lambda: svd_3x9(unattainable_matrix()),
+        ],
+        ids=[
+            "chi-0.35", "ghz-noise-0.45", "ghz-noise-1",
+            "filtered-chi-0.5", "filtered-ghz-noise-0.4", "unattainable",
+        ],
+    )
+    def test_found_matches_exhaustive_search(self, make_svd):
+        svd = make_svd()
+        assert check_tightness(svd).found == exhaustive_found(svd)
