@@ -108,7 +108,7 @@ def _filtered_moments(rho: np.ndarray, filters: FilterTriple) -> np.ndarray:
     q' is not finite in double precision.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        maps = [lorentz_map(u * s) for u, s in zip(filters.unitaries, filters.scales)]
+        maps = lorentz_map(np.stack([u * s for u, s in zip(filters.unitaries, filters.scales)]))
         q = np.einsum("ia,jb,kc,abc->ijk", *maps, pauli_moments(rho))
     if not np.isfinite(q).all():
         raise ValueError("filter strengths overflow the canonical filter maps; use milder filters")
@@ -126,8 +126,18 @@ def x_matrix(rho: np.ndarray, filters: FilterTriple) -> np.ndarray:
 
 
 def canonical_normalization(rho: np.ndarray, filters: FilterTriple) -> float:
-    """tr(F^dag F rho) with every filter in canonical scale. Pairs with x_matrix."""
-    return float(_filtered_moments(rho, filters)[0, 0, 0])
+    """tr(F^dag F rho) with every filter in canonical scale. Pairs with x_matrix.
+
+    L(U diag(s)) = L(diag(s)) L(U): the rotation turns rho into U^dag rho U, and
+    row 0 of the diagonal step weighs its populations by s^2 per party, so
+    N = sum_i s_i^2 (U^dag rho U)_ii is a sum of nonnegative terms. The same
+    populations read off the moments carry +-1e-17 of rounding that large
+    strengths amplify past N itself, so they are read off the rotated diagonal.
+    """
+    u = tensor(*filters.unitaries)
+    populations = np.einsum("ri,rs,si->i", u.conj(), rho, u).real
+    weights = tensor(*(s * s for s in filters.scales))
+    return float(np.clip(populations, 0.0, None) @ weights)
 
 
 @dataclass
@@ -150,11 +160,10 @@ class FilteredAnalysis:
 def filtered_bound(rho: np.ndarray, filters: FilterTriple) -> FilteredAnalysis:
     """Filtered singular-value bound via the normalized state's correlations."""
     rho_prime, _ = apply_filter(rho, filters)
-    q = _filtered_moments(rho, filters)
-    n = float(q[0, 0, 0])
+    xm = x_matrix(rho, filters)
+    n = canonical_normalization(rho, filters)
     if n <= ANNIHILATION_TOL:
         raise FilterAnnihilationError(f"canonical normalization {n:.3e} is at or below {ANNIHILATION_TOL:g}")
-    xm = correlation_block(q)
     m_prime = correlation_matrix(rho_prime)
     s1 = float(m_prime.svd.singular_values[0])
     return FilteredAnalysis(

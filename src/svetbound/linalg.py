@@ -31,12 +31,21 @@ def pauli(index: int) -> np.ndarray:
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of the given operators, leftmost factor most significant."""
+    """Kronecker product of the given operators, leftmost factor most significant.
+
+    Equal to chained np.kron, product for product, built from outer products,
+    which cost a fraction of np.kron's overhead on 2x2 factors.
+    """
     if not ops:
         raise ValueError("tensor() needs at least one operator")
     out = np.asarray(ops[0])
     for op in ops[1:]:
-        out = np.kron(out, op)
+        op = np.asarray(op)
+        nd = out.ndim
+        if op.ndim != nd:
+            raise ValueError(f"tensor() factors must share a dimension count, got {nd} and {op.ndim}")
+        pairs = np.multiply.outer(out, op).transpose([i for k in range(nd) for i in (k, nd + k)])
+        out = pairs.reshape([a * b for a, b in zip(out.shape, op.shape)])
     return out
 
 

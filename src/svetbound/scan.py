@@ -1,10 +1,16 @@
 """Filter optimization, violation thresholds, and activation-curve data.
 
-The filter search works on the state's 4x4x4 Pauli moment tensor q, on which
-a filter diag(x, 1) acts through its 4x4 map L(diag(x, 1)): rows 1-3 give the
-unnormalized filtered correlations and row 0 the normalization. A log-spaced
-grid of filter strengths reduces to a few einsum contractions and one batched
-SVD; grid optima seed bounded Nelder-Mead refinements.
+The filter search works on one per-state polynomial kernel. A filter
+diag(x, 1) acts on the state's Pauli moments through its 4x4 map
+L(diag(x, 1)) = P0 + x P1 + x^2 P2, so the unnormalized filtered correlation
+matrix X and the normalization N of diag(x, 1) (x) diag(y, 1) (x) diag(z, 1)
+are fixed linear maps of the 27 monomials x^a y^b z^c (a, b, c in 0..2),
+built once per state; N's coefficients are the state's populations. A
+log-spaced grid of filter strengths reduces to staged monomial contractions
+and the top two eigenvalues of each 3x3 Gram X X^T; one point costs one
+28x27 matrix-vector product and one 3x3 eigen-solve. Grid optima seed bounded
+Nelder-Mead refinements, each run until its own stopping tolerances hold, so
+the result is the supremum over the strength box whichever start wins a tie.
 
 The second singular value gets the same treatment as the first. Near the
 boundary of the violating region the global landscape of the leading value is
@@ -28,7 +34,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .analysis import certify_filtered, certify_unfiltered
-from .errors import NonMonotonePredicateError
+from .errors import ConsistencyError, NonMonotonePredicateError
 from .fileio import atomic_write_text
 from .filtering import FilteredAnalysis, FilterParams, filtered_bound
 from .linalg import lorentz_map, pauli_moments
@@ -38,9 +44,18 @@ from .svetlichny import BoundReport
 
 BISECT_TOL = 1e-4
 
-# Filter-search budget: log10 range of the strengths and Nelder-Mead evaluations.
+# Filter search: log10 range of the strengths; Nelder-Mead's initial step and
+# stopping tolerances in log10 strength and in the refined value, and a
+# per-start safety cap on evaluations that a converging run stays far below.
 FILTER_LOG_RANGE = (-3.0, 3.0)
-REFINE_EVALS = 200
+REFINE_STEP = 0.1
+REFINE_TOLS = {"xatol": 1e-8, "fatol": 1e-14}
+REFINE_MAX_EVALS = 5000
+
+# The kernel's leading value must match the filtered state's and respect the
+# physical maximum sqrt(2) of a three-qubit correlation singular value.
+KERNEL_CHECK_TOL = 1e-9
+MAX_LAMBDA1 = math.sqrt(2.0) + KERNEL_CHECK_TOL
 
 # See-saw restarts per certification in a scan.
 ORACLE_RESTARTS = 8
@@ -85,32 +100,59 @@ class ScanSpec:
             raise ValueError("p_grid must be a 1-d, finite, strictly increasing grid inside [0, 1]")
 
 
-def _diagonal_maps(xs) -> np.ndarray:
-    """Stacked 4x4 maps L(diag(x, 1)), one per filter strength."""
-    return lorentz_map([np.diag([x, 1.0]) for x in xs])
+def _power_maps() -> np.ndarray:
+    """P with L(diag(x, 1)) = P[0] + x P[1] + x^2 P[2] exactly, read off at x = 0, 1, -1."""
+    l0, lp, lm = lorentz_map([np.diag([v, 1.0]) for v in (0.0, 1.0, -1.0)])
+    return np.stack([l0, (lp - lm) / 2.0, (lp + lm) / 2.0 - l0])
 
 
-def _lambda_grids(q: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second normalized singular values over the full filter grid."""
-    maps = _diagonal_maps(xs)
-    dc, ec = maps[:, 1:], maps[:, 0]
-    # Staged pairwise contractions: one four-operand einsum is several times slower here.
-    t1 = np.einsum("xla,abc->xlbc", dc, q)
-    t2 = np.einsum("ymb,xlbc->xylmc", dc, t1)
-    t3 = np.einsum("znc,xylmc->xyzlmn", dc, t2)
-    x_all = t3.transpose(0, 1, 2, 4, 3, 5).reshape(xs.size, xs.size, xs.size, 3, 9)
-    n_all = np.einsum("xa,yb,zc,abc->xyz", ec, ec, ec, q)
-    s = np.linalg.svd(x_all, compute_uv=False)
-    return s[..., 0] / n_all, s[..., 1] / n_all
+_POWER_MAPS = _power_maps()
+# Exponents (a, b, c) of the 27 monomials x^a y^b z^c, the x power most significant.
+_EXPONENTS = np.array(np.unravel_index(np.arange(27), (3, 3, 3)), dtype=float).T
 
 
-def _singular_over_n(q: np.ndarray, xyz: np.ndarray, which: int) -> float:
-    """Normalized singular value (0 leading, 1 second) at one filter point."""
-    la, lb, lc = _diagonal_maps(xyz)
-    xm = np.einsum("la,mb,nc,abc->mln", la[1:], lb[1:], lc[1:], q).reshape(3, 9)
-    n = float(np.einsum("a,b,c,abc->", la[0], lb[0], lc[0], q))
-    s = np.linalg.svd(xm, compute_uv=False)
-    return float(s[which]) / n
+def _filter_kernel(rho: np.ndarray) -> np.ndarray:
+    """Per-state 28x27 map from the filter monomials to X and N.
+
+    Filters diag(x, 1) (x) diag(y, 1) (x) diag(z, 1) act on rho through the
+    monomials (1, x, x^2) (x) (1, y, y^2) (x) (1, z, z^2). Rows 0-26 take them to
+    the flattened 3x9 unnormalized correlation matrix X, row 27 to the
+    normalization N. N's coefficients are the populations rho_ii, so N is a sum
+    of nonnegative terms; they are read off the diagonal, since the moment
+    route leaves zero populations at +-1e-17 for large strengths to amplify.
+    """
+    q = pauli_moments(rho)
+    rows = _POWER_MAPS[:, 1:]
+    k = np.einsum("Ali,Bmj,Cnk,ijk->mlnABC", rows, rows, rows, q, optimize=True)
+    n = np.zeros((3, 3, 3))
+    # |0> carries the filter factor, so its population goes with the square.
+    n[::-2, ::-2, ::-2] = np.real(np.diagonal(rho)).reshape(2, 2, 2)
+    return np.vstack([k.reshape(27, 27), n.reshape(1, 27)])
+
+
+def _lambda_grids(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second normalized singular values over the full filter grid.
+
+    Staged monomial contractions give X and N at every grid point; the top two
+    eigenvalues of each 3x3 Gram X X^T are the squared singular values.
+    """
+    g = xs.size
+    v = xs[:, None] ** np.arange(3.0)
+    t = (v @ kernel.T.reshape(3, 9 * 28)).reshape(g, 3, 3, 28)
+    t = np.einsum("yb,xbce->xyce", v, t).reshape(g * g, 3, 28)
+    t = (v @ t).reshape(g, g, g, 28)
+    x_all, n_all = t[..., :27].reshape(g, g, g, 3, 9), t[..., 27]
+    w = np.linalg.eigvalsh(x_all @ x_all.swapaxes(-1, -2))
+    s = np.sqrt(np.clip(w[..., 1:], 0.0, None))
+    return s[..., 1] / n_all, s[..., 0] / n_all
+
+
+def _singular_over_n(kernel: np.ndarray, log_xyz: np.ndarray, which: int) -> float:
+    """Normalized singular value (0 leading, 1 second) at log10 filter strengths."""
+    out = kernel @ 10.0 ** (_EXPONENTS @ log_xyz)
+    xm = out[:27].reshape(3, 9)
+    w = np.linalg.eigvalsh(xm @ xm.T)
+    return math.sqrt(max(w[2 - which], 0.0)) / out[27]
 
 
 def _local_maxima_mask(grid: np.ndarray) -> np.ndarray:
@@ -125,8 +167,8 @@ def _local_maxima_mask(grid: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _top_starts(grid: np.ndarray, xs: np.ndarray, count: int) -> list[np.ndarray]:
-    """Best `count` grid local maxima as linear (x, y, z) points, value order."""
+def _top_starts(grid: np.ndarray, logs: np.ndarray, count: int) -> list[np.ndarray]:
+    """Best `count` grid local maxima as log10 (x, y, z) points, value order."""
     mask = _local_maxima_mask(grid)
     values = np.where(mask, grid, -np.inf).ravel()
     order = np.argsort(values)[::-1]
@@ -134,44 +176,62 @@ def _top_starts(grid: np.ndarray, xs: np.ndarray, count: int) -> list[np.ndarray
     for flat in order[:count]:
         if not np.isfinite(values[flat]):
             break
-        i, j, k = np.unravel_index(flat, grid.shape)
-        starts.append(np.array([xs[i], xs[j], xs[k]]))
+        starts.append(logs[list(np.unravel_index(flat, grid.shape))])
     return starts
+
+
+def _initial_simplex(start: np.ndarray, step: float, hi: float) -> np.ndarray:
+    """The start plus one step along each axis, taken inward at the upper face.
+
+    At a face, scipy's default simplex is clipped flat onto it and never leaves.
+    """
+    steps = np.where(start + step <= hi, step, -step)
+    return np.vstack([start, start + np.diag(steps)])
 
 
 def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
     """Diagonal filter strengths maximizing the filtered bound for a state.
 
     Grid-seeds bounded Nelder-Mead refinements of both the leading and the
-    second normalized singular value, then ranks all candidates (grid argmax
-    and identity included) by the leading value.
+    second normalized singular value, each run to its own stopping tolerance,
+    then ranks all candidates (grid argmax and identity included) by the
+    leading value. The kernel's leading value at the winner is cross-checked
+    against the filtered state's own correlation matrix: a gap above 1e-9, or
+    either value above sqrt(2) + 1e-9, raises ConsistencyError.
     """
     lo, hi = FILTER_LOG_RANGE
-    xs = np.logspace(lo, hi, ScanSpec.filter_grid_points)
-    q = pauli_moments(rho)
-    lam1, lam2 = _lambda_grids(q, xs)
+    logs = np.linspace(lo, hi, ScanSpec.filter_grid_points)
+    kernel = _filter_kernel(rho)
+    lam1, lam2 = _lambda_grids(kernel, 10.0**logs)
 
-    seeds = []
+    candidates = [np.zeros(3), logs[list(np.unravel_index(np.argmax(lam1), lam1.shape))]]
     for grid, which in ((lam1, 0), (lam2, 1)):
-        seeds.extend((start, which) for start in _top_starts(grid, xs, 2))
-    budget = max(REFINE_EVALS // max(len(seeds), 1), 20)
+        for start in _top_starts(grid, logs, 2):
+            res = minimize(
+                lambda v, k=which: -_singular_over_n(kernel, v, k),
+                start,
+                method="Nelder-Mead",
+                bounds=[(lo, hi)] * 3,
+                options={
+                    "maxfev": REFINE_MAX_EVALS,
+                    "initial_simplex": _initial_simplex(start, REFINE_STEP, hi),
+                    **REFINE_TOLS,
+                },
+            )
+            candidates.append(res.x)
 
-    candidates = [np.ones(3)]
-    argmax = np.unravel_index(np.argmax(lam1), lam1.shape)
-    candidates.append(np.array([xs[i] for i in argmax]))
-    for start, which in seeds:
-        res = minimize(
-            lambda v, k=which: -_singular_over_n(q, 10.0**v, k),
-            np.log10(start),
-            method="Nelder-Mead",
-            bounds=[(lo, hi)] * 3,
-            options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14},
-        )
-        candidates.append(10.0**res.x)
-
-    best = max(candidates, key=lambda xyz: _singular_over_n(q, xyz, 0))
+    values = [_singular_over_n(kernel, v, 0) for v in candidates]
+    best = 10.0 ** candidates[int(np.argmax(values))]
     params = FilterParams(float(best[0]), float(best[1]), float(best[2]))
-    return params, filtered_bound(rho, params.triple())
+    fa = filtered_bound(rho, params.triple())
+    kernel_value = max(values)
+    gap = abs(kernel_value - fa.lambda1_prime)
+    if gap > KERNEL_CHECK_TOL or max(kernel_value, fa.lambda1_prime) > MAX_LAMBDA1:
+        raise ConsistencyError(
+            f"filter kernel check failed: lambda1 {kernel_value!r} (kernel) vs {fa.lambda1_prime!r}"
+            " (filtered state); they must agree to 1e-9 and stay within sqrt(2) + 1e-9"
+        )
+    return params, fa
 
 
 @dataclass

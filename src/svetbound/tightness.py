@@ -32,27 +32,33 @@ def _units_from_angles(ang: np.ndarray) -> np.ndarray:
 
 
 def _objective_and_grad(ang: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndarray]:
-    a, ap, c, cp = _units_from_angles(ang)
-    t1 = np.kron(a, c) - np.kron(ap, cp)
-    t2 = np.kron(a, cp) + np.kron(ap, c)
-    bt1, bt2 = basis @ t1, basis @ t2
-    f = 4.0 - bt1 @ bt1 - bt2 @ bt2
+    # Certified settings depend on these floats to the last bit through the
+    # L-BFGS path. The outer products equal np.kron of the vectors, and the
+    # stacked matmul gives each gradient entry the dot product a separate
+    # vector @ vector call would.
+    th, ph = ang[0::2], ang[1::2]
+    st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+    a, ap, c, c_p = np.array([st * cp, st * sp, ct]).T.copy()
+    outer, dot = np.multiply.outer, np.dot
+    t1 = (outer(a, c) - outer(ap, c_p)).ravel()
+    t2 = (outer(a, c_p) + outer(ap, c)).ravel()
+    bt1, bt2 = dot(basis, t1), dot(basis, t2)
+    f = 4.0 - dot(bt1, bt1) - dot(bt2, bt2)
 
-    # Gradients of the captured norm with respect to the four unit vectors.
-    h1 = (2.0 * basis.T @ bt1).reshape(3, 3)
-    h2 = (2.0 * basis.T @ bt2).reshape(3, 3)
-    d_a = -(h1 @ c + h2 @ cp)
-    d_ap = h1 @ cp - h2 @ c
-    d_c = -(h1.T @ a + h2.T @ ap)
-    d_cp = h1.T @ ap - h2.T @ a
-
-    grad = np.empty(8)
-    for idx, (vec_grad, th, ph) in enumerate(zip((d_a, d_ap, d_c, d_cp), ang[0::2], ang[1::2])):
-        st, ct = np.sin(th), np.cos(th)
-        sp, cs = np.sin(ph), np.cos(ph)
-        grad[2 * idx] = vec_grad @ np.array([ct * cs, ct * sp, -st])
-        grad[2 * idx + 1] = vec_grad @ np.array([-st * sp, st * cs, 0.0])
-    return f, grad
+    # Gradients of the captured norm with respect to the four unit vectors,
+    # then through each vector's polar and azimuthal angle.
+    twice = 2.0 * basis.T
+    h1, h2 = dot(twice, bt1).reshape(3, 3), dot(twice, bt2).reshape(3, 3)
+    d = np.array([
+        -(dot(h1, c) + dot(h2, c_p)),
+        dot(h1, c_p) - dot(h2, c),
+        -(dot(h1.T, a) + dot(h2.T, ap)),
+        dot(h1.T, ap) - dot(h2.T, a),
+    ])
+    jac = np.empty((4, 3, 2))
+    jac[:, 0, 0], jac[:, 1, 0], jac[:, 2, 0] = ct * cp, ct * sp, -st
+    jac[:, 0, 1], jac[:, 1, 1], jac[:, 2, 1] = -st * sp, st * cp, 0.0
+    return f, (d[:, None, :] @ jac).ravel()
 
 
 @dataclass

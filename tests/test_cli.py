@@ -133,8 +133,37 @@ class TestFilterCommand:
         )
         assert code == 0
         fields = out_map(out)
-        assert float(fields["lambda1_prime"]) == pytest.approx(1.1542138032922402, abs=1e-9)
+        assert float(fields["lambda1_prime"]) == pytest.approx(1.1542290377905464, abs=1e-9)
         assert fields["violates"] == "true"
+
+    def test_extreme_strengths_keep_nonnegative_normalization(self, capsys):
+        """A filter near a projector: the canonical N is a sum of populations, not a cancellation."""
+        code, out, err = run(
+            capsys,
+            ["filter", "--family", "ghz-noise", "--p", "0.34", "-x", "1e-12", "-y", "1e6", "-z", "1e6"],
+        )
+        assert code == 0, err
+        # p/2 + (1-p)x^2(1 + y^2 + z^2)/4 + (1+p)x^2 y^2 z^2/4
+        n = 0.17 + 0.165e-24 * (1.0 + 2e12) + 0.335
+        assert float(out_map(out)["n"]) == pytest.approx(n, rel=1e-9)
+
+    def test_kernel_cross_check_exit_6(self, capsys, monkeypatch):
+        """The optimized filter's kernel value must match the filtered state's lambda1'."""
+        import svetbound.scan as scan_module
+
+        inner = scan_module.filtered_bound
+
+        def shifted(rho, filters):
+            fa = inner(rho, filters)
+            fa.lambda1_prime += 1e-6
+            return fa
+
+        monkeypatch.setattr(scan_module, "filtered_bound", shifted)
+        code, out, err = run(capsys, ["filter", "--family", "ghz-noise", "--p", "0.5", "--optimize"])
+        assert code == 6
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: filter kernel check failed")
 
     def test_requires_all_strengths(self, capsys):
         code, _, err = run(

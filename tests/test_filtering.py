@@ -200,6 +200,20 @@ class TestCanonicalNormalization:
         _, literal = apply_filter(rho, ft)
         assert canonical_normalization(rho, ft) == pytest.approx(literal, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "family, p, xyz",
+        [("ghz-noise", 0.34, (1e-12, 1e6, 1e6)), ("chi", 0.5, (1e-9, 1e-7, 1e8)), ("ghz-noise", 0.9, (1e7, 1e-7, 3.0))],
+    )
+    def test_extreme_strengths_match_literal(self, family, p, xyz):
+        """The canonical N, rescaled by each filter's smaller entry squared, is the literal N."""
+        build = build_chi_state if family == "chi" else build_ghz_noise_state
+        n_closed = n_closed_chi if family == "chi" else n_closed_ghz
+        rho = build(p)
+        ft = FilterTriple.diagonal(*xyz)
+        rescale = np.prod([min(v, 1.0) ** 2 for v in xyz])
+        assert canonical_normalization(rho, ft) * rescale == pytest.approx(n_closed(p, *xyz), rel=1e-9)
+        assert filtered_bound(rho, ft).n_factor * rescale == pytest.approx(apply_filter(rho, ft)[1], rel=1e-9)
+
     def test_pairs_with_x_matrix(self, rng):
         # scaling the filters must not move the ratio singulars(X)/N
         rho = random_density(rng)

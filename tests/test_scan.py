@@ -1,18 +1,26 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import svetbound.scan as scan_module
 from conftest import random_density
-from svetbound.errors import NonMonotonePredicateError
+from svetbound.errors import ConsistencyError, NonMonotonePredicateError
 from svetbound.filtering import FilterTriple, filtered_bound
-from svetbound.linalg import pauli_moments
+from svetbound.linalg import _PAULI_PRODUCTS, pauli_moments
 from svetbound.scan import (
+    FILTER_LOG_RANGE,
+    REFINE_MAX_EVALS,
     PointRecord,
     ScanSpec,
+    _filter_kernel,
+    _initial_simplex,
     _lambda_grids,
     _singular_over_n,
+    _top_starts,
     _threshold_from_records,
     build_family_state,
     figure_data,
@@ -41,38 +49,171 @@ class TestMoments:
 
 class TestFastPath:
     def test_matches_filtered_bound(self, rng):
-        """Moment-space singular values must agree with the full filtered route."""
+        """Kernel singular values must agree with the full filtered route."""
         for _ in range(25):
             rho = random_density(rng)
-            q = pauli_moments(rho)
-            xyz = 10.0 ** rng.uniform(-1.5, 1.5, size=3)
-            fa = filtered_bound(rho, FilterTriple.diagonal(*xyz))
-            fast = _singular_over_n(q, xyz, 0)
+            kernel = _filter_kernel(rho)
+            logs = rng.uniform(-1.5, 1.5, size=3)
+            fa = filtered_bound(rho, FilterTriple.diagonal(*(10.0**logs)))
+            fast = _singular_over_n(kernel, logs, 0)
             assert fast == pytest.approx(fa.lambda1_prime, abs=1e-10)
-            second = _singular_over_n(q, xyz, 1)
+            second = _singular_over_n(kernel, logs, 1)
             assert second == pytest.approx(fa.m_prime.svd.singular_values[1], abs=1e-10)
 
     def test_grid_agrees_with_scalar_eval(self, rng):
         rho = random_density(rng)
-        q = pauli_moments(rho)
-        xs = np.logspace(-1.0, 1.0, 5)
-        lam1, lam2 = _lambda_grids(q, xs)
+        kernel = _filter_kernel(rho)
+        logs = np.linspace(-1.0, 1.0, 5)
+        lam1, lam2 = _lambda_grids(kernel, 10.0**logs)
         for idx in ((0, 0, 0), (1, 2, 3), (4, 4, 4), (2, 0, 3)):
-            xyz = np.array([xs[idx[0]], xs[idx[1]], xs[idx[2]]])
-            assert lam1[idx] == pytest.approx(_singular_over_n(q, xyz, 0), abs=1e-12)
-            assert lam2[idx] == pytest.approx(_singular_over_n(q, xyz, 1), abs=1e-12)
+            point = logs[list(idx)]
+            assert lam1[idx] == pytest.approx(_singular_over_n(kernel, point, 0), abs=1e-12)
+            assert lam2[idx] == pytest.approx(_singular_over_n(kernel, point, 1), abs=1e-12)
+
+
+def mp_singular_over_n(rho: np.ndarray, xyz, dps: int = 40) -> tuple[float, float]:
+    """Leading and second singular values of X/N for diag(x, 1) (x) diag(y, 1) (x) diag(z, 1), in mpmath.
+
+    rho' = (f f^T) o rho with f = (x, 1) (x) (y, 1) (x) (z, 1), taken exactly from
+    the double-precision entries of rho.
+    """
+    with mpmath.workdps(dps):
+        f = [mpmath.mpf(1)]
+        for v in xyz:
+            f = [fi * w for fi in f for w in (mpmath.mpf(v), mpmath.mpf(1))]
+        rp = [[f[r] * f[s] * mpmath.mpc(complex(rho[r, s])) for s in range(8)] for r in range(8)]
+        n = sum(rp[r][r] for r in range(8)).real
+        x = mpmath.matrix(3, 9)
+        for l in range(3):
+            for m in range(3):
+                for k in range(3):
+                    op = _PAULI_PRODUCTS[16 * (l + 1) + 4 * (m + 1) + (k + 1)]
+                    val = sum(
+                        rp[r][s] * mpmath.mpc(complex(op[s, r]))
+                        for r in range(8) for s in range(8) if op[s, r] != 0
+                    )
+                    x[m, 3 * l + k] = val.real
+        w = sorted(mpmath.eigsy(x * x.T, eigvals_only=True), reverse=True)
+        return float(mpmath.sqrt(w[0]) / n), float(mpmath.sqrt(max(w[1], 0)) / n)
+
+
+class TestKernelReference:
+    """The per-state polynomial kernel against mpmath at the box corners and inside."""
+
+    @pytest.mark.parametrize("which", ["chi", "ghz-noise", "random"])
+    def test_grid_and_point_values(self, which):
+        if which == "random":
+            rho = random_density(np.random.default_rng(7))
+        else:
+            rho = build_family_state(which, 0.5)
+        kernel = _filter_kernel(rho)
+        lo, hi = FILTER_LOG_RANGE
+        logs = np.array([lo, -0.7, 0.4, hi])
+        lam1, lam2 = _lambda_grids(kernel, 10.0**logs)
+        for idx in np.ndindex(lam1.shape):
+            point = logs[list(idx)]
+            ref1, ref2 = mp_singular_over_n(rho, 10.0**point)
+            assert lam1[idx] == pytest.approx(ref1, abs=1e-9)
+            assert lam2[idx] == pytest.approx(ref2, abs=1e-9)
+            assert _singular_over_n(kernel, point, 0) == pytest.approx(ref1, abs=1e-9)
+            assert _singular_over_n(kernel, point, 1) == pytest.approx(ref2, abs=1e-9)
+
+
+def dense_box_supremum(rho: np.ndarray, points: int = 41, starts: int = 20) -> float:
+    """Box supremum of the leading value from many starts on a finer grid.
+
+    Both the leading and the second value are refined from their own top
+    grid maxima, far tighter than the search does, and every end point is
+    ranked by the leading value.
+    """
+    kernel = _filter_kernel(rho)
+    lo, hi = FILTER_LOG_RANGE
+    logs = np.linspace(lo, hi, points)
+    grids = _lambda_grids(kernel, 10.0**logs)
+    best = float(grids[0].max())
+    for which, grid in enumerate(grids):
+        for start in _top_starts(grid, logs, starts):
+            res = minimize(
+                lambda v: -_singular_over_n(kernel, v, which),
+                start,
+                method="Nelder-Mead",
+                bounds=[(lo, hi)] * 3,
+                options={
+                    "xatol": 1e-10, "fatol": 1e-15, "maxfev": 20000,
+                    "initial_simplex": _initial_simplex(start, 0.1, hi),
+                },
+            )
+            best = max(best, _singular_over_n(kernel, res.x, 0))
+    return best
 
 
 class TestOptimizeFilter:
     def test_frozen_ghz_optimum(self):
         params, fa = optimize_filter(build_ghz_noise_state(0.5))
-        assert fa.lambda1_prime == pytest.approx(1.1542138032922402, abs=1e-9)
+        assert fa.lambda1_prime == pytest.approx(1.1542290377905464, abs=1e-9)
         assert fa.bound > 4.0
 
     def test_frozen_chi_optimum(self):
         params, fa = optimize_filter(build_chi_state(0.5))
-        assert fa.lambda1_prime == pytest.approx(1.1230331160210087, abs=1e-9)
+        assert fa.lambda1_prime == pytest.approx(1.123033129109576, abs=1e-9)
         assert fa.bound > 4.0
+
+    @pytest.mark.parametrize("family", ["chi", "ghz-noise"])
+    @pytest.mark.parametrize("p", [0.37, 0.5, 0.9])
+    def test_reaches_box_supremum(self, family, p):
+        rho = build_family_state(family, p)
+        _, fa = optimize_filter(rho)
+        assert fa.lambda1_prime == pytest.approx(dense_box_supremum(rho), abs=1e-9)
+
+    def test_refinements_stop_on_tolerance(self, monkeypatch):
+        """Every Nelder-Mead run ends on its own tolerances, well before the cap."""
+        runs = []
+        inner = scan_module.minimize
+
+        def spy(*args, **kwargs):
+            res = inner(*args, **kwargs)
+            runs.append(res)
+            return res
+
+        monkeypatch.setattr(scan_module, "minimize", spy)
+        for build in (build_chi_state, build_ghz_noise_state):
+            for p in (0.0, 0.37, 0.5, 0.9):
+                optimize_filter(build(p))
+        assert len(runs) == 32
+        for res in runs:
+            assert res.success and res.status == 0
+            assert res.nfev < REFINE_MAX_EVALS
+
+    def test_kernel_disagreement_raises(self, monkeypatch):
+        inner = scan_module.filtered_bound
+
+        def shifted(rho, filters):
+            fa = inner(rho, filters)
+            fa.lambda1_prime += 1e-6
+            return fa
+
+        monkeypatch.setattr(scan_module, "filtered_bound", shifted)
+        with pytest.raises(ConsistencyError, match="kernel check failed"):
+            optimize_filter(build_ghz_noise_state(0.5))
+
+    def test_value_above_sqrt2_raises(self, monkeypatch):
+        """Two routes that agree still fail when they pass the physical maximum."""
+        inner_kernel, inner_bound = scan_module._filter_kernel, scan_module.filtered_bound
+
+        def scaled_kernel(rho):
+            kernel = inner_kernel(rho)
+            kernel[:27] *= 1.5
+            return kernel
+
+        def scaled_bound(rho, filters):
+            fa = inner_bound(rho, filters)
+            fa.lambda1_prime *= 1.5
+            return fa
+
+        monkeypatch.setattr(scan_module, "_filter_kernel", scaled_kernel)
+        monkeypatch.setattr(scan_module, "filtered_bound", scaled_bound)
+        with pytest.raises(ConsistencyError):
+            optimize_filter(build_ghz_noise_state(0.5))
 
     def test_deterministic(self):
         rho = build_ghz_noise_state(0.4)

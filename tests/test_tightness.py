@@ -62,6 +62,37 @@ def exhaustive_found(svd, seed: int = 42) -> bool:
     return residual_of(best) <= RESIDUAL_TOL
 
 
+def per_vector_objective(ang: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndarray]:
+    """The deficit and its gradient with np.kron and one chain-rule step per vector."""
+    a, ap, c, cp = tightness._units_from_angles(ang)
+    t1 = np.kron(a, c) - np.kron(ap, cp)
+    t2 = np.kron(a, cp) + np.kron(ap, c)
+    bt1, bt2 = basis @ t1, basis @ t2
+    f = 4.0 - bt1 @ bt1 - bt2 @ bt2
+    h1 = (2.0 * basis.T @ bt1).reshape(3, 3)
+    h2 = (2.0 * basis.T @ bt2).reshape(3, 3)
+    grads = (-(h1 @ c + h2 @ cp), h1 @ cp - h2 @ c, -(h1.T @ a + h2.T @ ap), h1.T @ ap - h2.T @ a)
+    grad = np.empty(8)
+    for idx, (vec_grad, th, ph) in enumerate(zip(grads, ang[0::2], ang[1::2])):
+        st, ct = np.sin(th), np.cos(th)
+        sp, cs = np.sin(ph), np.cos(ph)
+        grad[2 * idx] = vec_grad @ np.array([ct * cs, ct * sp, -st])
+        grad[2 * idx + 1] = vec_grad @ np.array([-st * sp, st * cs, 0.0])
+    return f, grad
+
+
+class TestObjective:
+    def test_matches_per_vector_reference(self, rng):
+        """Same arithmetic, so the same floats: the L-BFGS paths must not move."""
+        for _ in range(300):
+            basis = np.linalg.qr(rng.normal(size=(9, rng.integers(2, 4))))[0].T
+            ang = rng.uniform(0.0, 2.0 * np.pi, size=8)
+            f, grad = tightness._objective_and_grad(ang, basis)
+            f_ref, grad_ref = per_vector_objective(ang, basis)
+            assert f == f_ref
+            np.testing.assert_array_equal(grad, grad_ref)
+
+
 class TestFamilyDecompositions:
     @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
