@@ -43,10 +43,8 @@ from .svetlichny import (
     CorrelationMatrix,
     MeasurementSettings,
     correlation_matrix,
-    optimal_bb,
     svetlichny_operator,
     svetlichny_value,
-    svetlichny_value_from_matrix,
     unfiltered_bound,
 )
 from .tightness import DecompositionResult, assemble_settings, check_tightness
@@ -87,7 +85,6 @@ __all__ = [
     "filtered_bound",
     "load_state",
     "lorentz_map",
-    "optimal_bb",
     "optimize_filter",
     "pauli",
     "pauli_moments",
@@ -96,7 +93,6 @@ __all__ = [
     "svd_3x9",
     "svetlichny_operator",
     "svetlichny_value",
-    "svetlichny_value_from_matrix",
     "tensor",
     "threshold_bisect",
     "unfiltered_bound",

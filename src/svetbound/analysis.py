@@ -20,21 +20,16 @@ def _certify(
     s1 = float(corr.svd.singular_values[0])
     decomposition = check_tightness(corr.svd, seed=config.seed)
 
-    candidates = []
-    warm_starts = ()
     if decomposition.found:
-        settings0, bilinear = assemble_settings(decomposition, corr)
-        traced = svetlichny_value(rho, settings0)
-        if abs(traced - bilinear) > 1e-9:
+        settings, bilinear = assemble_settings(decomposition, corr)
+        achieved = svetlichny_value(rho, settings)
+        if abs(achieved - bilinear) > 1e-9:
             raise ConsistencyError(
-                f"trace and bilinear routes disagree: {traced!r} vs {bilinear!r}"
+                f"trace and bilinear routes disagree: {achieved!r} vs {bilinear!r}"
             )
-        candidates.append((traced, settings0))
-        warm_starts = (settings0,)
-
-    oracle = seesaw_from_matrix(corr.matrix, config, warm_starts=warm_starts)
-    candidates.append((oracle.value, oracle.settings))
-    achieved, settings = max(candidates, key=lambda pair: pair[0])
+    else:
+        oracle = seesaw_from_matrix(corr.matrix, config)
+        achieved, settings = oracle.value, oracle.settings
 
     return BoundReport(
         bound=4.0 * s1,
@@ -54,9 +49,9 @@ def certify_unfiltered(
     """Certify the singular-value bound of a state as given.
 
     The report carries the bound, whether settings attaining it exist, and the
-    best expectation actually constructed (tight decomposition if found, else
-    the see-saw optimum, whichever is larger). The seed of ``oracle_config``
-    seeds both the tightness search and the see-saw.
+    expectation of settings built by one route: the tight decomposition when
+    it is found, else the see-saw from seeded random starts. The seed of
+    ``oracle_config`` seeds whichever searches run.
     """
     corr = correlation_matrix(rho)
     return _certify(rho, corr, oracle_config)

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid input, 3 unphysical state, 4 filter
-annihilation, 5 bisection refused on a non-monotone grid, 6 an internal
-cross-check failed (ConsistencyError).
+Exit codes: 0 success, 2 invalid input or an unwritable output path, 3
+unphysical state, 4 filter annihilation, 5 bisection refused on a
+non-monotone grid, 6 an internal cross-check failed (ConsistencyError).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ _EXIT_CODES = (
     (NonMonotonePredicateError, EXIT_NON_MONOTONE),
     (ConsistencyError, EXIT_INCONSISTENT),
     (ValueError, EXIT_USAGE),
+    (OSError, EXIT_USAGE),
 )
 
 # Grid steps finer than the bisection tolerance 1e-4 resolve nothing more.
@@ -294,7 +295,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, NonMonotonePredicateError, ConsistencyError) as exc:
+    except (ValueError, OSError, NonMonotonePredicateError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NonMonotonePredicateError):
             for lo, hi in exc.brackets:

@@ -27,7 +27,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -374,18 +374,7 @@ def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
     )
 
 
-_CSV_FIELDS = (
-    "p",
-    "unfiltered_bound",
-    "unfiltered_attained",
-    "x",
-    "y",
-    "z",
-    "filtered_bound",
-    "filtered_attained",
-    "violates_before",
-    "violates_after",
-)
+_CSV_FIELDS = tuple(f.name for f in fields(PointRecord))
 
 
 def _fmt(value) -> str:
@@ -404,21 +393,6 @@ def write_csv(report: ActivationReport, path: str) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def report_to_dict(report: ActivationReport) -> dict:
-    return {
-        "family": report.family,
-        "theta": report.theta,
-        "seed": report.seed,
-        "p_violation_unfiltered": report.p_violation_unfiltered,
-        "p_violation_filtered": report.p_violation_filtered,
-        "activation_window": list(report.activation_window) if report.activation_window else None,
-        "annotations": report.annotations,
-        "records": [
-            {name: getattr(rec, name) for name in _CSV_FIELDS} for rec in report.records
-        ],
-    }
-
-
 def write_json(report: ActivationReport, path: str) -> None:
     """Whole report as JSON; floats keep full repr precision."""
-    atomic_write_text(path, json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")

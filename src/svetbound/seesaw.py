@@ -5,13 +5,13 @@ unit vectors for one party is a normalized linear image of the correlation
 tensor, so every update is monotone and the sweep limit is a safety cap, not
 a tuning knob. Restarts guard against the rare poor basin.
 
-All starts advance together. The warm starts, then the seeded random
-restarts, are stacked as six (R, 3) blocks of Bloch vectors, and one sweep
-updates every row with matmuls against 9x3 layouts of the tensor. A convergence
-mask drops a row from the active blocks once its own gain in a sweep falls
-below CONVERGENCE_TOL; its vectors and value are frozen from then on, so each
-start ends where it would end alone. The update functions broadcast over a
-leading axis, so single (3,) vectors work as well.
+All starts advance together. The seeded random restarts are stacked as six
+(R, 3) blocks of Bloch vectors, and one sweep updates every row with matmuls
+against 9x3 layouts of the tensor. A convergence mask drops a row from the
+active blocks once its own gain in a sweep falls below CONVERGENCE_TOL; its
+vectors and value are frozen from then on, so each start ends where it would
+end alone. The update functions broadcast over a leading axis, so single (3,)
+vectors work as well.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .svetlichny import DEGENERATE_DIRECTION_TOL, MeasurementSettings, correlation_matrix
+from .svetlichny import MeasurementSettings, correlation_matrix
 
+# An update image shorter than this keeps the party's previous vector.
+DEGENERATE_DIRECTION_TOL = 1e-12
 # A start stops once its value gains less than this in one sweep.
 CONVERGENCE_TOL = 1e-12
 # Starts are allocated up front as R x 6 x 3 floats: 100 000 starts take 14 MB.
@@ -122,58 +124,45 @@ class OracleResult:
     converged: bool
 
 
-def seesaw_max(
-    rho: np.ndarray,
-    config: OracleConfig | None = None,
-    *,
-    warm_starts: tuple[MeasurementSettings, ...] = (),
-) -> OracleResult:
+def seesaw_max(rho: np.ndarray, config: OracleConfig | None = None) -> OracleResult:
     """Lower bound on the maximal Svetlichny expectation of a state.
 
-    Runs seeded random restarts (warm starts first) of exact alternating
-    updates until the per-sweep improvement drops below CONVERGENCE_TOL. The
-    returned value never exceeds 4 * lambda_1.
+    Runs seeded random restarts of exact alternating updates until the
+    per-sweep improvement drops below CONVERGENCE_TOL. The returned value
+    never exceeds 4 * lambda_1.
     """
     config = config or OracleConfig()
     corr = correlation_matrix(rho)
-    return seesaw_from_matrix(corr.matrix, config, warm_starts=warm_starts)
+    return seesaw_from_matrix(corr.matrix, config)
 
 
-def _starts(warm_starts, restarts: int, seed: int) -> np.ndarray:
-    """Warm starts, then ``restarts`` seeded random ones, as (R, 6, 3) unit vectors.
+def _starts(restarts: int, seed: int) -> np.ndarray:
+    """``restarts`` seeded random starts as (R, 6, 3) unit vectors.
 
     One draw of R x 6 x 3 normals gives the same vectors, bit for bit, as R
     successive ``MeasurementSettings.random`` calls on the same generator.
     """
     drawn = np.random.default_rng(seed).normal(size=(restarts, 6, 3))
     drawn /= np.linalg.norm(drawn, axis=-1, keepdims=True)
-    warm = [[s.a, s.a_prime, s.b, s.b_prime, s.c, s.c_prime] for s in warm_starts]
-    return np.concatenate([np.reshape(warm, (-1, 6, 3)), drawn])
+    return drawn
 
 
-def seesaw_from_matrix(
-    m: np.ndarray,
-    config: OracleConfig | None = None,
-    *,
-    warm_starts: tuple[MeasurementSettings, ...] = (),
-) -> OracleResult:
+def seesaw_from_matrix(m: np.ndarray, config: OracleConfig | None = None) -> OracleResult:
     """See-saw driven by an already-computed correlation matrix.
 
-    The best start is the first with the largest final value, so warm starts
-    win ties; ``sweeps_used`` and ``converged`` are that start's own.
+    The best start is the first with the largest final value;
+    ``sweeps_used`` and ``converged`` are that start's own.
     """
     config = config or OracleConfig()
-    if not 0 <= config.restarts <= MAX_RESTARTS:
+    if not 1 <= config.restarts <= MAX_RESTARTS:
         raise ValueError(
-            f"see-saw restarts must be between 0 and {MAX_RESTARTS}, got {config.restarts}"
+            f"see-saw restarts must be between 1 and {MAX_RESTARTS}, got {config.restarts}"
         )
-    if config.restarts == 0 and not warm_starts:
-        raise ValueError("see-saw has no start: restarts=0 and no warm start")
     if config.max_sweeps < 1:
         raise ValueError(f"see-saw needs max_sweeps >= 1, got {config.max_sweeps}")
     t = correlation_tensor(m)
     # ends[r] holds start r's six vectors, overwritten with its final ones once it stops.
-    ends = _starts(warm_starts, config.restarts, config.seed)
+    ends = _starts(config.restarts, config.seed)
     values = np.empty(len(ends))
     sweeps = np.full(len(ends), config.max_sweeps)
     converged = np.zeros(len(ends), dtype=bool)

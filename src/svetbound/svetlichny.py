@@ -26,7 +26,6 @@ SVETLICHNY_BOUND = 4.0
 ALGEBRAIC_MAX = 4.0 * math.sqrt(2.0)
 VIOLATION_MARGIN = 1e-9
 UNIT_NORM_TOL = 1e-12
-DEGENERATE_DIRECTION_TOL = 1e-12
 
 
 def _unit(v: np.ndarray, name: str) -> np.ndarray:
@@ -104,57 +103,14 @@ def svetlichny_value(rho: np.ndarray, settings: MeasurementSettings) -> float:
     return real_expectation(np.asarray(rho, dtype=complex), svetlichny_operator(settings))
 
 
-def svetlichny_value_from_matrix(m: np.ndarray, settings: MeasurementSettings) -> float:
-    """Svetlichny expectation via the correlation-matrix bilinear form."""
-    t1 = np.kron(settings.a, settings.c) - np.kron(settings.a_prime, settings.c_prime)
-    t2 = np.kron(settings.a, settings.c_prime) + np.kron(settings.a_prime, settings.c)
-    return float((settings.b + settings.b_prime) @ m @ t1 + (settings.b - settings.b_prime) @ m @ t2)
-
-
-def _orthogonal_unit(v: np.ndarray) -> np.ndarray:
-    # Any unit vector orthogonal to v; pick the axis least aligned with v.
-    axis = np.zeros(3)
-    axis[np.argmin(np.abs(v))] = 1.0
-    w = axis - (axis @ v) * v
-    return w / np.linalg.norm(w)
-
-
-def optimal_bb(
-    m: np.ndarray,
-    a: np.ndarray,
-    a_prime: np.ndarray,
-    c: np.ndarray,
-    c_prime: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best (b, b') for fixed outer settings, with the value they achieve.
-
-    Writing u = M(a (x) c - a' (x) c') and w = M(a (x) c' + a' (x) c), the
-    optimum is b = (u + w)/|u + w|, b' = (u - w)/|u - w| with value
-    |u + w| + |u - w|. Degenerate directions (norm below 1e-12) fall back to
-    an arbitrary orthogonal completion, which contributes nothing.
-    """
-    u = m @ (np.kron(a, c) - np.kron(a_prime, c_prime))
-    w = m @ (np.kron(a, c_prime) + np.kron(a_prime, c))
-    su, sw = u + w, u - w
-    nu, nw = np.linalg.norm(su), np.linalg.norm(sw)
-    if nu > DEGENERATE_DIRECTION_TOL:
-        b = su / nu
-    else:
-        b = _orthogonal_unit(sw / nw) if nw > DEGENERATE_DIRECTION_TOL else np.array([1.0, 0.0, 0.0])
-    if nw > DEGENERATE_DIRECTION_TOL:
-        b_prime = sw / nw
-    else:
-        b_prime = _orthogonal_unit(b)
-    return b, b_prime, float(nu + nw)
-
-
 @dataclass
 class BoundReport:
     """Certified upper bound on the Svetlichny expectation of a state.
 
     ``bound`` is 4 times the leading singular value. ``tight`` records whether
-    a decomposition certifying attainability was found; when settings are
-    present, ``achieved`` is the verified expectation they produce.
+    a decomposition certifying attainability was found, and so which route
+    built ``settings``: the decomposition if tight, else the see-saw. When
+    settings are present, ``achieved`` is the expectation they produce.
     """
 
     bound: float

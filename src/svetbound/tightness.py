@@ -17,7 +17,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .linalg import SVDResult
-from .svetlichny import CorrelationMatrix, MeasurementSettings, optimal_bb
+from .seesaw import bilinear_value, correlation_tensor, update_b_pair
+from .svetlichny import CorrelationMatrix, MeasurementSettings
 
 RESIDUAL_TOL = 1e-6
 _RESTARTS = 64
@@ -123,22 +124,16 @@ def check_tightness(svd: SVDResult, *, seed: int = 42) -> DecompositionResult:
 def assemble_settings(
     decomposition: DecompositionResult, corr: CorrelationMatrix
 ) -> tuple[MeasurementSettings, float]:
-    """Complete a found decomposition with the optimal middle-party pair."""
+    """Complete a found decomposition with the optimal middle-party pair.
+
+    (b, b') is the see-saw's exact B update for the outer settings, and the
+    value is the bilinear form at the completed settings. A zero image, as on
+    a state without correlations, keeps b = e_x or b' = e_y.
+    """
     if not decomposition.found:
         raise ValueError("cannot assemble settings from a failed tightness search")
-    b, b_prime, value = optimal_bb(
-        corr.matrix,
-        decomposition.a,
-        decomposition.a_prime,
-        decomposition.c,
-        decomposition.c_prime,
-    )
-    settings = MeasurementSettings(
-        a=decomposition.a,
-        a_prime=decomposition.a_prime,
-        b=b,
-        b_prime=b_prime,
-        c=decomposition.c,
-        c_prime=decomposition.c_prime,
-    )
-    return settings, value
+    t = correlation_tensor(corr.matrix)
+    a, ap, c, cp = decomposition.a, decomposition.a_prime, decomposition.c, decomposition.c_prime
+    b, bp = update_b_pair(t, a, ap, c, cp, previous=tuple(np.eye(3)[:2]))
+    settings = MeasurementSettings(a=a, a_prime=ap, b=b, b_prime=bp, c=c, c_prime=cp)
+    return settings, bilinear_value(t, a, ap, b, bp, c, cp)

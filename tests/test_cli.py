@@ -227,7 +227,7 @@ class TestOracleCommand:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: see-saw restarts must be between 0 and 100000, got 1000000000\n"
+        assert err == "error: see-saw restarts must be between 1 and 100000, got 1000000000\n"
 
     def test_unconverged_best_start_warns(self, capsys):
         argv = ["oracle", "--family", "ghz-noise", "--p", "0.8", "--restarts", "3", "--sweeps", "1"]
@@ -405,6 +405,24 @@ class TestErrorPaths:
         assert err.startswith("error: trace and bilinear routes disagree")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--family", "ghz-noise", "--p", "0.5", "--json", "OUT"],
+            ["scan", "--figure", "fig2", "--p-grid", "0.9:1:0.1", "--csv", "OUT"],
+        ],
+        ids=["bound-json", "scan-csv"],
+    )
+    @pytest.mark.parametrize("target", ["missing/x.out", "is-a-dir"])
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, argv, target):
+        """A missing directory or a directory in the way is one error line, and no temp file stays."""
+        (tmp_path / "is-a-dir").mkdir()
+        out_path = str(tmp_path / target)
+        code, _, err = run(capsys, [out_path if arg == "OUT" else arg for arg in argv])
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert list(tmp_path.rglob(".tmp-*")) == []
+
+    @pytest.mark.parametrize(
         "exc, expected",
         [
             (StateFormatError("bad layout"), 2),
@@ -412,6 +430,7 @@ class TestErrorPaths:
             (FilterAnnihilationError("annihilated"), 4),
             (ConsistencyError("routes disagree"), 6),
             (ValueError("bad value"), 2),
+            (OSError("disk full"), 2),
         ],
     )
     def test_exit_code_table(self, capsys, monkeypatch, exc, expected):

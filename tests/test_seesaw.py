@@ -98,14 +98,6 @@ class TestSeesawMax:
         assert r1.value == r2.value
         np.testing.assert_array_equal(r1.settings.a, r2.settings.a)
 
-    def test_warm_start_at_optimum_stays(self):
-        """Feeding optimal settings back in cannot lose value."""
-        rho = build_ghz_noise_state(1.0)
-        first = seesaw_max(rho, OracleConfig(restarts=20))
-        rerun = seesaw_max(rho, OracleConfig(restarts=0), warm_starts=(first.settings,))
-        assert rerun.value >= first.value - 1e-12
-        assert rerun.sweeps_used <= 2
-
     def test_respects_sweep_cap(self):
         rho = build_chi_state(0.5)
         result = seesaw_max(rho, OracleConfig(restarts=3, max_sweeps=1))
@@ -170,47 +162,33 @@ class TestBatchedSweep:
 
     def test_matches_per_start_loop(self, rng):
         config = OracleConfig(restarts=20, seed=11)
+        draws = np.random.default_rng(config.seed)
+        starts = [MeasurementSettings.random(draws) for _ in range(config.restarts)]
         for _ in range(50):
             t = correlation_tensor(correlation_matrix(random_density(rng)).matrix)
-            warm = MeasurementSettings.random(rng)
-            draws = np.random.default_rng(config.seed)
-            starts = [warm] + [MeasurementSettings.random(draws) for _ in range(config.restarts)]
             value, _, converged = _reference_seesaw(t, starts, config)
-            result = seesaw_from_matrix(
-                t.transpose(1, 0, 2).reshape(3, 9), config, warm_starts=(warm,)
-            )
+            result = seesaw_from_matrix(t.transpose(1, 0, 2).reshape(3, 9), config)
             assert abs(result.value - value) <= 1e-12
             assert result.converged == converged
 
-    def test_starts_equal_successive_draws(self, rng):
-        warm = (MeasurementSettings.random(rng), MeasurementSettings.random(rng))
-        starts = _starts(warm, 30, seed=5)
+    def test_starts_equal_successive_draws(self):
+        starts = _starts(30, seed=5)
         draws = np.random.default_rng(5)
-        expected = list(warm) + [MeasurementSettings.random(draws) for _ in range(30)]
-        assert starts.shape == (32, 6, 3)
+        expected = [MeasurementSettings.random(draws) for _ in range(30)]
+        assert starts.shape == (30, 6, 3)
         for got, s in zip(starts, expected):
             want = np.array([s.a, s.a_prime, s.b, s.b_prime, s.c, s.c_prime])
             np.testing.assert_array_equal(got, want)
 
-    def test_warm_start_at_optimum_is_returned(self):
-        rho = build_ghz_noise_state(1.0)
-        first = seesaw_max(rho, OracleConfig(restarts=20))
-        rerun = seesaw_max(rho, OracleConfig(restarts=20, seed=3), warm_starts=(first.settings,))
-        assert rerun.value >= first.value - 1e-12
-        assert rerun.sweeps_used == 1
-        for name in ("a", "a_prime", "b", "b_prime", "c", "c_prime"):
-            np.testing.assert_allclose(
-                getattr(rerun.settings, name), getattr(first.settings, name), atol=1e-9
-            )
-
-    def test_ties_go_to_the_earliest_start(self, rng):
-        """On a zero tensor every start ties at 0 and keeps its vectors: the warm start wins."""
-        warm = MeasurementSettings.random(rng)
-        result = seesaw_from_matrix(np.zeros((3, 9)), OracleConfig(restarts=10), warm_starts=(warm,))
+    def test_ties_go_to_the_earliest_start(self):
+        """On a zero tensor every start ties at 0 and keeps its vectors: the first start wins."""
+        config = OracleConfig(restarts=10, seed=4)
+        result = seesaw_from_matrix(np.zeros((3, 9)), config)
+        first = MeasurementSettings.random(np.random.default_rng(config.seed))
         assert result.value == 0.0
-        np.testing.assert_array_equal(result.settings.c_prime, warm.c_prime)
+        np.testing.assert_array_equal(result.settings.c_prime, first.c_prime)
 
-    @pytest.mark.parametrize("restarts", [-1, MAX_RESTARTS + 1])
+    @pytest.mark.parametrize("restarts", [-1, 0, MAX_RESTARTS + 1])
     def test_restarts_out_of_range(self, restarts):
-        with pytest.raises(ValueError, match="between 0 and"):
+        with pytest.raises(ValueError, match="between 1 and"):
             seesaw_from_matrix(np.eye(3, 9), OracleConfig(restarts=restarts))

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density
+from svetbound.seesaw import bilinear_value, correlation_tensor, update_b_pair
 from svetbound.states import build_chi_state, build_ghz_noise_state
 from svetbound.svetlichny import (
     ALGEBRAIC_MAX,
     MeasurementSettings,
     correlation_matrix,
-    optimal_bb,
     svetlichny_operator,
     svetlichny_value,
-    svetlichny_value_from_matrix,
     unfiltered_bound,
 )
+from svetbound.tightness import assemble_settings, check_tightness
 
 SQ2 = math.sqrt(2.0)
 
@@ -84,18 +84,6 @@ class TestValueRoutes:
         op = svetlichny_operator(s)
         np.testing.assert_allclose(op, op.conj().T, atol=1e-14)
 
-    def test_trace_equals_bilinear(self, rng):
-        """The operator trace and the correlation bilinear form must agree."""
-        for _ in range(25):
-            rho = random_density(rng)
-            corr = correlation_matrix(rho)
-            s = MeasurementSettings.random(rng)
-            np.testing.assert_allclose(
-                svetlichny_value(rho, s),
-                svetlichny_value_from_matrix(corr.matrix, s),
-                atol=1e-12,
-            )
-
     def test_ghz_known_settings(self):
         """In-plane settings at 45 degree spacing reach 4 sqrt(2) on the GHZ state."""
         rho = build_ghz_noise_state(1.0)
@@ -112,34 +100,31 @@ class TestValueRoutes:
 
 
 class TestOptimalBB:
+    """The middle-party pair (b, b') that completes fixed outer settings."""
+
     def test_beats_random_b_pairs(self, rng):
         for _ in range(10):
-            rho = random_density(rng)
-            m = correlation_matrix(rho).matrix
+            t = correlation_tensor(correlation_matrix(random_density(rng)).matrix)
             s = MeasurementSettings.random(rng)
-            b, bp, value = optimal_bb(m, s.a, s.a_prime, s.c, s.c_prime)
+            a, ap, c, cp = s.a, s.a_prime, s.c, s.c_prime
+            b, bp = update_b_pair(t, a, ap, c, cp, previous=(s.b, s.b_prime))
             best_random = max(
-                svetlichny_value_from_matrix(
-                    m,
-                    MeasurementSettings(
-                        s.a, s.a_prime, t.b, t.b_prime, s.c, s.c_prime
-                    ),
-                )
-                for t in (MeasurementSettings.random(rng) for _ in range(200))
+                bilinear_value(t, a, ap, r.b, r.b_prime, c, cp)
+                for r in (MeasurementSettings.random(rng) for _ in range(200))
             )
-            achieved = svetlichny_value_from_matrix(
-                m, MeasurementSettings(s.a, s.a_prime, b, bp, s.c, s.c_prime)
-            )
-            assert achieved == pytest.approx(value, abs=1e-12)
-            assert achieved >= best_random - 1e-12
+            assert bilinear_value(t, a, ap, b, bp, c, cp) >= best_random - 1e-12
 
     def test_degenerate_direction_fallback(self):
-        m = np.zeros((3, 9))
-        a = np.array([1.0, 0.0, 0.0])
-        b, bp, value = optimal_bb(m, a, a, a, a)
+        """Without correlations both images vanish: b = e_x, b' = e_y, value 0."""
+        rho = np.eye(8) / 8.0
+        corr = correlation_matrix(rho)
+        dec = check_tightness(corr.svd)
+        assert dec.found
+        settings, value = assemble_settings(dec, corr)
         assert value == 0.0
-        assert abs(np.linalg.norm(b) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(bp) - 1.0) < 1e-12
+        np.testing.assert_array_equal(settings.b, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(settings.b_prime, [0.0, 1.0, 0.0])
+        assert svetlichny_value(rho, settings) == 0.0
 
 
 class TestUnfilteredBound:
