@@ -192,6 +192,17 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: a non-negative integer, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _parse_p_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -283,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in (p_bound, p_filter, p_oracle, p_scan):
         sp.add_argument("--json", metavar="PATH", help="also write the report as JSON")
-        sp.add_argument("--seed", type=int, default=42, help="seed for every stochastic search")
+        sp.add_argument("--seed", type=_seed, default=42, help="seed for every stochastic search")
     return parser
 
 

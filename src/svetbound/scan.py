@@ -8,9 +8,12 @@ are fixed linear maps of the 27 monomials x^a y^b z^c (a, b, c in 0..2),
 built once per state; N's coefficients are the state's populations. A
 log-spaced grid of filter strengths reduces to staged monomial contractions
 and the top two eigenvalues of each 3x3 Gram X X^T; one point costs one
-28x27 matrix-vector product and one 3x3 eigen-solve. Grid optima seed bounded
-Nelder-Mead refinements, each run until its own stopping tolerances hold, so
-the result is the supremum over the strength box whichever start wins a tie.
+28x27 matrix-vector product and one 3x3 eigen-solve, which gives both values.
+Grid optima seed bounded Nelder-Mead refinements, each run until its own
+stopping tolerances hold, so the result is the supremum over the strength box
+whichever start wins a tie. The refinements run a lean Nelder-Mead that
+repeats scipy's bounded method step for step in the same arithmetic, with
+less bookkeeping per evaluation.
 
 The second singular value gets the same treatment as the first. Near the
 boundary of the violating region the global landscape of the leading value is
@@ -18,20 +21,25 @@ dominated by flat plateaus where the bound approaches 4 from below but never
 crosses it; the violating branch is the one with a doubly degenerate leading
 value, and on the plateaus the second singular value collapses instead.
 Refining the second-value optima and ranking every candidate by the first
-value keeps the search out of the plateau trap.
+value keeps the search out of the plateau trap. On that degenerate branch a
+second-value refinement often starts where a leading-value one did and would
+see the same values at every point; it is skipped and the leading run's end
+point reused, which changes no result.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .analysis import certify_filtered, certify_unfiltered
 from .errors import ConsistencyError, NonMonotonePredicateError
@@ -147,12 +155,13 @@ def _lambda_grids(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
     return s[..., 1] / n_all, s[..., 0] / n_all
 
 
-def _singular_over_n(kernel: np.ndarray, log_xyz: np.ndarray, which: int) -> float:
-    """Normalized singular value (0 leading, 1 second) at log10 filter strengths."""
+def _singular_over_n(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[float, float]:
+    """Leading and second normalized singular values at log10 filter strengths."""
     out = kernel @ 10.0 ** (_EXPONENTS @ log_xyz)
     xm = out[:27].reshape(3, 9)
     w = np.linalg.eigvalsh(xm @ xm.T)
-    return math.sqrt(max(w[2 - which], 0.0)) / out[27]
+    n = float(out[27])
+    return math.sqrt(max(w[2], 0.0)) / n, math.sqrt(max(w[1], 0.0)) / n
 
 
 def _local_maxima_mask(grid: np.ndarray) -> np.ndarray:
@@ -189,11 +198,125 @@ def _initial_simplex(start: np.ndarray, step: float, hi: float) -> np.ndarray:
     return np.vstack([start, start + np.diag(steps)])
 
 
+class _EvaluationCap(Exception):
+    """Raised in place of an evaluation past maxfev."""
+
+
+# scipy's non-adaptive Nelder-Mead coefficients: reflection, expansion,
+# contraction and shrink.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+
+
+def _by_value(sim: list, fsim: list) -> tuple[list, list]:
+    """Vertices and values in ascending value order, as scipy orders them.
+
+    Distinct values have one order, which sorted() finds faster than
+    np.argsort. Tied values (NaN included) take np.argsort's order, which is
+    scipy's and differs from sorted()'s.
+    """
+    if len(set(fsim)) == len(fsim) and not math.isnan(sum(fsim)):
+        order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    else:
+        order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(
+    fun, x0, args=(), *, bounds, initial_simplex, maxfev, xatol, fatol,
+    jac=None, hess=None, hessp=None, constraints=(), callback=None,
+):
+    """scipy's bounded Nelder-Mead, step for step, on vertices held as Python floats.
+
+    A method for ``scipy.optimize.minimize``. The initial simplex is reflected
+    into the box, then clipped, and every trial point is clipped; each
+    coefficient product and sum is written in scipy's order, so the runs match
+    ``method="Nelder-Mead"`` bit for bit (x, fun, nfev, status) at a fraction of
+    its per-evaluation bookkeeping. The run stops on scipy's ``xatol``/``fatol``
+    test or, with status 1, at ``maxfev`` evaluations; it never makes more.
+    ``x0`` is the first vertex of ``initial_simplex``. minimize passes jac,
+    hess, hessp, constraints and callback to every custom method; none applies
+    here, and any other option is refused.
+    """
+    lo = [float(b[0]) for b in bounds]
+    hi = [float(b[1]) for b in bounds]
+    n = len(lo)
+    nfev = 0
+
+    def clip(x):
+        # np.clip: min(max(v, a), b), NaN passing through.
+        return [a if v < a else b if v > b else v for v, a, b in zip(x, lo, hi)]
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _EvaluationCap
+        nfev += 1
+        return float(fun(np.array(x), *args))
+
+    sim = [
+        clip([2 * b - v if v > b else v for v, b in zip(row, hi)])
+        for row in np.asarray(initial_simplex, dtype=float).tolist()
+    ]
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _EvaluationCap:
+        pass
+    # scipy orders the initial simplex twice.
+    sim, fsim = _by_value(*_by_value(sim, fsim))
+
+    while nfev < maxfev:
+        try:
+            s0, f0 = sim[0], fsim[0]
+            if all(abs(v - u) <= xatol for s in sim[1:] for v, u in zip(s, s0)) and all(
+                abs(f0 - fj) <= fatol for fj in fsim[1:]
+            ):
+                break
+            # ((s0 + s1) + s2) / 3, as np.add.reduce over the rows adds them.
+            xbar = [functools.reduce(operator.add, col) / n for col in zip(*sim[:-1])]
+            w = sim[-1]
+            xr = clip([(1 + _RHO) * c - _RHO * v for c, v in zip(xbar, w)])
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = clip([(1 + _RHO * _CHI) * c - _RHO * _CHI * v for c, v in zip(xbar, w)])
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = clip([(1 + _PSI * _RHO) * c - _PSI * _RHO * v for c, v in zip(xbar, w)])
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = clip([(1 - _PSI) * c + _PSI * v for c, v in zip(xbar, w)])
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = clip([u + _SIGMA * (v - u) for u, v in zip(s0, sim[j])])
+                    fsim[j] = f(sim[j])
+        except _EvaluationCap:
+            pass
+        sim, fsim = _by_value(sim, fsim)
+
+    status = 1 if nfev >= maxfev else 0
+    return OptimizeResult(x=np.array(sim[0]), fun=min(fsim), nfev=nfev, status=status, success=status == 0)
+
+
 def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
     """Diagonal filter strengths maximizing the filtered bound for a state.
 
     Grid-seeds bounded Nelder-Mead refinements of both the leading and the
-    second normalized singular value, each run to its own stopping tolerance,
+    second normalized singular value, each run to its own stopping tolerance
+    (a second-value run that would retrace a leading-value run is skipped),
     then ranks all candidates (grid argmax and identity included) by the
     leading value. The kernel's leading value at the winner is cross-checked
     against the filtered state's own correlation matrix: a gap above 1e-9, or
@@ -205,12 +328,29 @@ def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
     lam1, lam2 = _lambda_grids(kernel, 10.0**logs)
 
     candidates = [np.zeros(3), logs[list(np.unravel_index(np.argmax(lam1), lam1.shape))]]
+    # End points of leading-value runs that saw lambda1 == lambda2 at every
+    # point they evaluated, by start. Nelder-Mead only compares and subtracts
+    # the values of the points it visits, so the second-value run from the same
+    # start would retrace that run exactly; its end point is reused instead.
+    retraced = {}
     for grid, which in ((lam1, 0), (lam2, 1)):
         for start in _top_starts(grid, logs, 2):
+            key = start.tobytes()
+            if which == 1 and key in retraced:
+                candidates.append(retraced[key])
+                continue
+            tied = True
+
+            def objective(v, which=which):
+                nonlocal tied
+                pair = _singular_over_n(kernel, v)
+                tied = tied and pair[0] == pair[1]
+                return -pair[which]
+
             res = minimize(
-                lambda v, k=which: -_singular_over_n(kernel, v, k),
+                objective,
                 start,
-                method="Nelder-Mead",
+                method=_nelder_mead,
                 bounds=[(lo, hi)] * 3,
                 options={
                     "maxfev": REFINE_MAX_EVALS,
@@ -219,8 +359,10 @@ def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
                 },
             )
             candidates.append(res.x)
+            if which == 0 and tied:
+                retraced[key] = res.x
 
-    values = [_singular_over_n(kernel, v, 0) for v in candidates]
+    values = [_singular_over_n(kernel, v)[0] for v in candidates]
     best = 10.0 ** candidates[int(np.argmax(values))]
     params = FilterParams(float(best[0]), float(best[1]), float(best[2]))
     fa = filtered_bound(rho, params.triple())

@@ -414,13 +414,33 @@ class TestErrorPaths:
     )
     @pytest.mark.parametrize("target", ["missing/x.out", "is-a-dir"])
     def test_unwritable_output_exit_2(self, capsys, tmp_path, argv, target):
-        """A missing directory or a directory in the way is one error line, and no temp file stays."""
+        """A missing directory or a directory in the way is one error line naming the given path, and no temp file stays."""
         (tmp_path / "is-a-dir").mkdir()
         out_path = str(tmp_path / target)
         code, _, err = run(capsys, [out_path if arg == "OUT" else arg for arg in argv])
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert out_path in err and ".tmp-" not in err
         assert list(tmp_path.rglob(".tmp-*")) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--family", "ghz-noise", "--p", "0.5"],
+            ["filter", "--family", "ghz-noise", "--p", "0.5", "--optimize"],
+            ["oracle", "--family", "ghz-noise", "--p", "0.5"],
+            ["scan", "--figure", "fig2"],
+        ],
+        ids=["bound", "filter", "oracle", "scan"],
+    )
+    def test_negative_seed_exit_2(self, capsys, monkeypatch, argv):
+        """Refused by the parser, naming --seed, before any state is built."""
+        monkeypatch.setattr(cli_module, "build_family_state", lambda *a: pytest.fail("state built"))
+        monkeypatch.setattr(cli_module, "ScanSpec", lambda **k: pytest.fail("scan started"))
+        code, out, err = run(capsys, [*argv, "--seed", "-3"])
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: must be a non-negative integer, got -3" in err
 
     @pytest.mark.parametrize(
         "exc, expected",

@@ -14,11 +14,14 @@ from svetbound.linalg import _PAULI_PRODUCTS, pauli_moments
 from svetbound.scan import (
     FILTER_LOG_RANGE,
     REFINE_MAX_EVALS,
+    REFINE_STEP,
+    REFINE_TOLS,
     PointRecord,
     ScanSpec,
     _filter_kernel,
     _initial_simplex,
     _lambda_grids,
+    _nelder_mead,
     _singular_over_n,
     _top_starts,
     _threshold_from_records,
@@ -55,9 +58,8 @@ class TestFastPath:
             kernel = _filter_kernel(rho)
             logs = rng.uniform(-1.5, 1.5, size=3)
             fa = filtered_bound(rho, FilterTriple.diagonal(*(10.0**logs)))
-            fast = _singular_over_n(kernel, logs, 0)
+            fast, second = _singular_over_n(kernel, logs)
             assert fast == pytest.approx(fa.lambda1_prime, abs=1e-10)
-            second = _singular_over_n(kernel, logs, 1)
             assert second == pytest.approx(fa.m_prime.svd.singular_values[1], abs=1e-10)
 
     def test_grid_agrees_with_scalar_eval(self, rng):
@@ -66,9 +68,9 @@ class TestFastPath:
         logs = np.linspace(-1.0, 1.0, 5)
         lam1, lam2 = _lambda_grids(kernel, 10.0**logs)
         for idx in ((0, 0, 0), (1, 2, 3), (4, 4, 4), (2, 0, 3)):
-            point = logs[list(idx)]
-            assert lam1[idx] == pytest.approx(_singular_over_n(kernel, point, 0), abs=1e-12)
-            assert lam2[idx] == pytest.approx(_singular_over_n(kernel, point, 1), abs=1e-12)
+            first, second = _singular_over_n(kernel, logs[list(idx)])
+            assert lam1[idx] == pytest.approx(first, abs=1e-12)
+            assert lam2[idx] == pytest.approx(second, abs=1e-12)
 
 
 def mp_singular_over_n(rho: np.ndarray, xyz, dps: int = 40) -> tuple[float, float]:
@@ -115,8 +117,9 @@ class TestKernelReference:
             ref1, ref2 = mp_singular_over_n(rho, 10.0**point)
             assert lam1[idx] == pytest.approx(ref1, abs=1e-9)
             assert lam2[idx] == pytest.approx(ref2, abs=1e-9)
-            assert _singular_over_n(kernel, point, 0) == pytest.approx(ref1, abs=1e-9)
-            assert _singular_over_n(kernel, point, 1) == pytest.approx(ref2, abs=1e-9)
+            first, second = _singular_over_n(kernel, point)
+            assert first == pytest.approx(ref1, abs=1e-9)
+            assert second == pytest.approx(ref2, abs=1e-9)
 
 
 def dense_box_supremum(rho: np.ndarray, points: int = 41, starts: int = 20) -> float:
@@ -134,7 +137,7 @@ def dense_box_supremum(rho: np.ndarray, points: int = 41, starts: int = 20) -> f
     for which, grid in enumerate(grids):
         for start in _top_starts(grid, logs, starts):
             res = minimize(
-                lambda v: -_singular_over_n(kernel, v, which),
+                lambda v: -_singular_over_n(kernel, v)[which],
                 start,
                 method="Nelder-Mead",
                 bounds=[(lo, hi)] * 3,
@@ -143,8 +146,95 @@ def dense_box_supremum(rho: np.ndarray, points: int = 41, starts: int = 20) -> f
                     "initial_simplex": _initial_simplex(start, 0.1, hi),
                 },
             )
-            best = max(best, _singular_over_n(kernel, res.x, 0))
+            best = max(best, _singular_over_n(kernel, res.x)[0])
     return best
+
+
+def refine_kwargs(start: np.ndarray, maxfev: int = REFINE_MAX_EVALS) -> dict:
+    """The bounds and options optimize_filter gives each refinement from ``start``."""
+    lo, hi = FILTER_LOG_RANGE
+    return {
+        "bounds": [(lo, hi)] * 3,
+        "options": {
+            "maxfev": maxfev,
+            "initial_simplex": _initial_simplex(start, REFINE_STEP, hi),
+            **REFINE_TOLS,
+        },
+    }
+
+
+def grid_starts(rho: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """The kernel of ``rho`` and every (value index, start) optimize_filter refines from."""
+    kernel = _filter_kernel(rho)
+    lo, hi = FILTER_LOG_RANGE
+    logs = np.linspace(lo, hi, ScanSpec.filter_grid_points)
+    grids = _lambda_grids(kernel, 10.0**logs)
+    return kernel, [(which, start) for which, grid in enumerate(grids) for start in _top_starts(grid, logs, 2)]
+
+
+@pytest.fixture
+def refinements(monkeypatch) -> list:
+    """(start, result) of every Nelder-Mead run that optimize_filter makes."""
+    runs = []
+    inner = scan_module.minimize
+
+    def spy(fun, x0, *args, **kwargs):
+        res = inner(fun, x0, *args, **kwargs)
+        runs.append((np.array(x0), res))
+        return res
+
+    monkeypatch.setattr(scan_module, "minimize", spy)
+    return runs
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize("source", ["chi", "ghz-noise", "random"])
+    def test_nelder_mead_matches_scipy(self, source):
+        """Bit for bit against scipy's bounded Nelder-Mead from every grid start, and under a cap."""
+        if source == "random":
+            states = [random_density(np.random.default_rng(seed)) for seed in range(5)]
+        else:
+            states = [build_family_state(source, p) for p in np.round(np.arange(0.0, 1.0001, 0.05), 10)]
+        upper_face = []
+        for rho in states:
+            kernel, starts = grid_starts(rho)
+            for which, start in starts:
+
+                def objective(v, kernel=kernel, which=which):
+                    return -_singular_over_n(kernel, v)[which]
+
+                if np.any(start == FILTER_LOG_RANGE[1]):
+                    upper_face.append((objective, start))
+
+                ref = minimize(objective, start, method="Nelder-Mead", **refine_kwargs(start))
+                lean = minimize(objective, start, method=_nelder_mead, **refine_kwargs(start))
+                assert np.array_equal(lean.x, ref.x)
+                assert (lean.fun, lean.nfev, lean.status, lean.success) == (
+                    ref.fun, ref.nfev, ref.status, ref.success
+                )
+        assert upper_face
+
+        # A simplex across the upper face, which both reflect back into the box.
+        objective, start = upper_face[0]
+        simplex = np.vstack([start, start + 0.1 * np.eye(3)])
+        kwargs = refine_kwargs(start)
+        kwargs["options"]["initial_simplex"] = simplex
+        ref = minimize(objective, start, method="Nelder-Mead", **kwargs)
+        lean = minimize(objective, start, method=_nelder_mead, **kwargs)
+        assert np.array_equal(lean.x, ref.x) and (lean.fun, lean.nfev) == (ref.fun, ref.nfev)
+
+        # A run the cap stops: ghz-noise p = 0.5 needs over 400 evaluations from its best start.
+        kernel, starts = grid_starts(build_ghz_noise_state(0.5))
+        which, start = starts[0]
+
+        def objective(v):
+            return -_singular_over_n(kernel, v)[which]
+
+        ref = minimize(objective, start, method="Nelder-Mead", **refine_kwargs(start, maxfev=40))
+        lean = minimize(objective, start, method=_nelder_mead, **refine_kwargs(start, maxfev=40))
+        assert lean.status == ref.status == 1 and not lean.success
+        assert lean.nfev == ref.nfev <= 40
+        assert np.array_equal(lean.x, ref.x) and lean.fun == ref.fun
 
 
 class TestOptimizeFilter:
@@ -165,24 +255,58 @@ class TestOptimizeFilter:
         _, fa = optimize_filter(rho)
         assert fa.lambda1_prime == pytest.approx(dense_box_supremum(rho), abs=1e-9)
 
-    def test_refinements_stop_on_tolerance(self, monkeypatch):
-        """Every Nelder-Mead run ends on its own tolerances, well before the cap."""
-        runs = []
-        inner = scan_module.minimize
+    def test_refinements_stop_on_tolerance(self, refinements):
+        """Every Nelder-Mead run ends on its own tolerances, well before the cap.
 
-        def spy(*args, **kwargs):
-            res = inner(*args, **kwargs)
-            runs.append(res)
-            return res
-
-        monkeypatch.setattr(scan_module, "minimize", spy)
+        Of the 32 refinements, 8 second-value runs retrace a leading-value run
+        and are skipped: ghz-noise at p = 0.37, 0.5 and 0.9 two each, chi at
+        p = 0.5 and 0.9 one each.
+        """
         for build in (build_chi_state, build_ghz_noise_state):
             for p in (0.0, 0.37, 0.5, 0.9):
                 optimize_filter(build(p))
-        assert len(runs) == 32
-        for res in runs:
+        assert len(refinements) == 24
+        for _, res in refinements:
             assert res.success and res.status == 0
             assert res.nfev < REFINE_MAX_EVALS
+
+    def test_skipped_refinement_is_exact(self, refinements):
+        """On ghz-noise p = 0.5 both second-value runs are skipped; run, they end where the reused runs do."""
+        rho = build_ghz_noise_state(0.5)
+        optimize_filter(rho)
+        kernel, starts = grid_starts(rho)
+        leading = [start for which, start in starts if which == 0]
+        second = [start for which, start in starts if which == 1]
+        assert len(refinements) == len(leading) == len(second) == 2
+        ends = {start.tobytes(): res for start, res in refinements}
+        for start in second:
+            reused = ends[start.tobytes()]
+            rerun = minimize(
+                lambda v: -_singular_over_n(kernel, v)[1], start, method=_nelder_mead, **refine_kwargs(start)
+            )
+            assert np.array_equal(rerun.x, reused.x)
+            assert rerun.nfev == reused.nfev
+
+    @pytest.mark.parametrize("shared_starts", [False, True])
+    def test_nondegenerate_path_is_refined(self, monkeypatch, refinements, shared_starts):
+        """On ghz-noise p = 0.2 the second value splits from the first, so all four refinements run.
+
+        With the second-value starts forced onto the leading ones, the values
+        still differ along the way, so no run is skipped.
+        """
+        if shared_starts:
+            inner, leading = scan_module._top_starts, []
+
+            def same_starts(grid, logs, count):
+                if not leading:
+                    leading.extend(inner(grid, logs, count))
+                return list(leading)
+
+            monkeypatch.setattr(scan_module, "_top_starts", same_starts)
+        optimize_filter(build_ghz_noise_state(0.2))
+        assert len(refinements) == 4
+        starts = [start.tobytes() for start, _ in refinements]
+        assert (starts[:2] == starts[2:]) == shared_starts
 
     def test_kernel_disagreement_raises(self, monkeypatch):
         inner = scan_module.filtered_bound
