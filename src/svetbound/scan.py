@@ -210,14 +210,10 @@ _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 def _by_value(sim: list, fsim: list) -> tuple[list, list]:
     """Vertices and values in ascending value order, as scipy orders them.
 
-    Distinct values have one order, which sorted() finds faster than
-    np.argsort. Tied values (NaN included) take np.argsort's order, which is
-    scipy's and differs from sorted()'s.
+    np.argsort, as scipy uses: its order of tied values (NaN included) differs
+    from sorted()'s.
     """
-    if len(set(fsim)) == len(fsim) and not math.isnan(sum(fsim)):
-        order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    else:
-        order = np.argsort(fsim).tolist()
+    order = np.argsort(fsim).tolist()
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
@@ -235,8 +231,11 @@ def _nelder_mead(
     test or, with status 1, at ``maxfev`` evaluations; it never makes more.
     ``x0`` is the first vertex of ``initial_simplex``. minimize passes jac,
     hess, hessp, constraints and callback to every custom method; none applies
-    here, and any other option is refused.
+    here, so a value for any of them raises ValueError, and an option this
+    signature does not name raises TypeError.
     """
+    if any(v is not None for v in (jac, hess, hessp, callback)) or constraints:
+        raise ValueError("_nelder_mead takes no jac, hess, hessp, constraints or callback")
     lo = [float(b[0]) for b in bounds]
     hi = [float(b[1]) for b in bounds]
     n = len(lo)

@@ -236,6 +236,21 @@ class TestNelderMead:
         assert lean.nfev == ref.nfev <= 40
         assert np.array_equal(lean.x, ref.x) and lean.fun == ref.fun
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"callback": lambda xk: None},
+            {"constraints": [{"type": "ineq", "fun": lambda v: v[0]}]},
+            {"jac": lambda v: np.zeros(3)},
+        ],
+        ids=["callback", "constraints", "jac"],
+    )
+    def test_unused_arguments_are_refused(self, extra):
+        """minimize's arguments that the lean method cannot honour raise, not vanish."""
+        start = np.zeros(3)
+        with pytest.raises(ValueError, match="takes no"):
+            minimize(lambda v: float(v @ v), start, method=_nelder_mead, **refine_kwargs(start), **extra)
+
 
 class TestOptimizeFilter:
     def test_frozen_ghz_optimum(self):
