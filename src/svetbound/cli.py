@@ -23,9 +23,11 @@ from .errors import (
     PhysicalityError,
     StateFormatError,
 )
-from .fileio import atomic_write_text
-from .filtering import FilterTriple, apply_filter
+from .fileio import atomic_write_text, format_value
+from .filtering import FilterTriple
 from .scan import (
+    FAMILIES,
+    FIGURE_FAMILY,
     ScanSpec,
     build_family_state,
     figure_data,
@@ -35,7 +37,7 @@ from .scan import (
     write_json,
 )
 from .seesaw import OracleConfig, seesaw_max
-from .states import load_state
+from .states import CHI_THETA, load_state
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,27 +61,12 @@ _EXIT_CODES = (
 MAX_P_GRID_POINTS = 10_001
 
 
-def _fmt(value) -> str:
-    """Text form of a report value: floats to 16 digits, flags, none, vectors, x=.. y=.. z=.."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "none"
-    if isinstance(value, (str, int)):
-        return str(value)
-    if isinstance(value, dict):
-        return " ".join(f"{key}={_fmt(v)}" for key, v in value.items())
-    if isinstance(value, (list, tuple)):
-        return " ".join(_fmt(v) for v in value)
-    return format(value, ".15e")
-
-
 def _emit(report: dict, json_path: str | None) -> None:
     """Print ``key: value`` lines, one per vector under ``settings``; write the same dict as JSON."""
     for key, value in report.items():
         rows = value.items() if key == "settings" else [(key, value)]
         for name, item in rows:
-            print(f"{name}: {_fmt(item)}")
+            print(f"{name}: {format_value(item)}")
     if json_path:
         atomic_write_text(json_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote json: {json_path}")
@@ -101,7 +88,7 @@ def _certified(report) -> dict:
 
 
 def _add_state_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=("chi", "ghz-noise"), help="built-in state family")
+    parser.add_argument("--family", choices=FAMILIES, help="built-in state family")
     parser.add_argument("--p", type=float, help="mixing weight of the family state")
     parser.add_argument("--theta", type=float, default=None, help="chi family angle, default pi/8")
     parser.add_argument("--state", metavar="PATH", help="JSON state file instead of a family")
@@ -118,7 +105,7 @@ def _resolve_state(args) -> tuple[np.ndarray, str]:
         raise ValueError("--family requires --p")
     if args.theta is not None and args.family != "chi":
         raise ValueError("--theta applies to the chi family only")
-    theta = args.theta if args.theta is not None else math.pi / 8
+    theta = args.theta if args.theta is not None else CHI_THETA
     rho = build_family_state(args.family, args.p, theta)
     label = f"{args.family} p={args.p:g}"
     if args.family == "chi":
@@ -155,13 +142,12 @@ def _cmd_filter(args) -> int:
             raise ValueError("give all of -x, -y, -z, or --optimize")
         x, y, z = args.x, args.y, args.z
         triple = FilterTriple.diagonal(x, y, z)
-    _, n_literal = apply_filter(rho, triple)
     fa, report = certify_filtered(rho, triple, oracle_config=OracleConfig(seed=args.seed))
     _emit(
         {
             "state": label,
             "filter": {"x": x, "y": y, "z": z},
-            "n": n_literal,
+            "n": fa.n,
             "lambda1_prime": fa.lambda1_prime,
             **_certified(report),
         },
@@ -224,7 +210,7 @@ def _cmd_scan(args) -> int:
     if args.figure is not None:
         if args.family is not None or args.mode is not None:
             raise ValueError("--figure excludes --family and --mode")
-        family = "chi" if args.figure == "fig1" else "ghz-noise"
+        family = FIGURE_FAMILY[args.figure]
     else:
         if args.family is None or args.mode is None:
             raise ValueError("scan needs --figure, or --family with --mode")
@@ -280,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="see-saw lower bound on the maximal expectation")
     _add_state_source(p_oracle)
-    p_oracle.add_argument("--restarts", type=int, default=100)
-    p_oracle.add_argument("--sweeps", type=int, default=500)
+    p_oracle.add_argument("--restarts", type=int, default=OracleConfig.restarts)
+    p_oracle.add_argument("--sweeps", type=int, default=OracleConfig.max_sweeps)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_scan = sub.add_parser("scan", help="activation scan or threshold bisection over p")
-    p_scan.add_argument("--figure", choices=("fig1", "fig2"), help="built-in activation scan")
-    p_scan.add_argument("--family", choices=("chi", "ghz-noise"))
+    p_scan.add_argument("--figure", choices=tuple(FIGURE_FAMILY), help="built-in activation scan")
+    p_scan.add_argument("--family", choices=FAMILIES)
     p_scan.add_argument("--mode", choices=("unfiltered", "filtered"))
     p_scan.add_argument("--p-grid", metavar="START:END:STEP", help="grid over p, end inclusive")
     p_scan.add_argument("--csv", metavar="PATH", help="write per-p records as CSV")
@@ -306,11 +292,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, OSError, NonMonotonePredicateError, ConsistencyError) as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NonMonotonePredicateError):
             for lo, hi in exc.brackets:
-                print(f"bracket: {_fmt(lo)} {_fmt(hi)}", file=sys.stderr)
+                print(f"bracket: {format_value(lo)} {format_value(hi)}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 

@@ -1,9 +1,27 @@
-"""Atomic text output. Writers land complete files or nothing."""
+"""Text output: the one formatter of report values, and atomic file writes.
+
+Writers land complete files or nothing.
+"""
 
 from __future__ import annotations
 
 import os
 import tempfile
+
+
+def format_value(value) -> str:
+    """Text form of a report value: floats to 16 digits, flags, none, vectors, x=.. y=.. z=.."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "none"
+    if isinstance(value, (str, int)):
+        return str(value)
+    if isinstance(value, dict):
+        return " ".join(f"{key}={format_value(v)}" for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return " ".join(format_value(v) for v in value)
+    return format(value, ".15e")
 
 
 def atomic_write_text(path: str, text: str) -> None:

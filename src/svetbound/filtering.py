@@ -144,12 +144,14 @@ def canonical_normalization(rho: np.ndarray, filters: FilterTriple) -> float:
 class FilteredAnalysis:
     """Everything the filtered bound produces for one (state, filters) pair.
 
-    ``n_factor`` is the canonical-scale normalization paired with
+    ``n`` is the literal normalization tr(F^dag F rho) that divides
+    ``rho_prime``; ``n_factor`` is the canonical-scale normalization paired with
     ``x_matrix``; ``m_prime`` is the correlation matrix of the normalized
     filtered state, and ``bound`` equals 4 * lambda1_prime.
     """
 
     rho_prime: np.ndarray
+    n: float
     n_factor: float
     x_matrix: np.ndarray
     m_prime: CorrelationMatrix
@@ -159,7 +161,7 @@ class FilteredAnalysis:
 
 def filtered_bound(rho: np.ndarray, filters: FilterTriple) -> FilteredAnalysis:
     """Filtered singular-value bound via the normalized state's correlations."""
-    rho_prime, _ = apply_filter(rho, filters)
+    rho_prime, n_literal = apply_filter(rho, filters)
     xm = x_matrix(rho, filters)
     n = canonical_normalization(rho, filters)
     if n <= ANNIHILATION_TOL:
@@ -168,6 +170,7 @@ def filtered_bound(rho: np.ndarray, filters: FilterTriple) -> FilteredAnalysis:
     s1 = float(m_prime.svd.singular_values[0])
     return FilteredAnalysis(
         rho_prime=rho_prime,
+        n=n_literal,
         n_factor=n,
         x_matrix=xm,
         m_prime=m_prime,

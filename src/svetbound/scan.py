@@ -11,9 +11,9 @@ and the top two eigenvalues of each 3x3 Gram X X^T; one point costs one
 28x27 matrix-vector product and one 3x3 eigen-solve, which gives both values.
 Grid optima seed bounded Nelder-Mead refinements, each run until its own
 stopping tolerances hold, so the result is the supremum over the strength box
-whichever start wins a tie. The refinements run a lean Nelder-Mead that
-repeats scipy's bounded method step for step in the same arithmetic, with
-less bookkeeping per evaluation.
+whichever start wins a tie. Each refinement is one direct call of
+``minimize``, a lean bounded Nelder-Mead that repeats scipy's method step for
+step in the same arithmetic, with less bookkeeping per evaluation.
 
 The second singular value gets the same treatment as the first. Near the
 boundary of the violating region the global landscape of the leading value is
@@ -39,18 +39,22 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import OptimizeResult
 
 from .analysis import certify_filtered, certify_unfiltered
 from .errors import ConsistencyError, NonMonotonePredicateError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, format_value
 from .filtering import FilteredAnalysis, FilterParams, filtered_bound
 from .linalg import lorentz_map, pauli_moments
 from .seesaw import OracleConfig
-from .states import build_chi_state, build_ghz_noise_state
+from .states import CHI_THETA, build_chi_state, build_ghz_noise_state
 from .svetlichny import BoundReport
 
 BISECT_TOL = 1e-4
+
+# The built-in state families, and the family each activation figure scans.
+FAMILIES = ("chi", "ghz-noise")
+FIGURE_FAMILY = {"fig1": "chi", "fig2": "ghz-noise"}
 
 # Filter search: log10 range of the strengths; Nelder-Mead's initial step and
 # stopping tolerances in log10 strength and in the refined value, and a
@@ -74,7 +78,7 @@ ORACLE_RESTARTS = 8
 BILOCAL_BOUNDARY_P = 0.4167
 
 
-def build_family_state(family: str, p: float, theta: float = math.pi / 8) -> np.ndarray:
+def build_family_state(family: str, p: float, theta: float = CHI_THETA) -> np.ndarray:
     if family == "chi":
         return build_chi_state(p, theta)
     if family == "ghz-noise":
@@ -84,17 +88,16 @@ def build_family_state(family: str, p: float, theta: float = math.pi / 8) -> np.
 
 @dataclass
 class ScanSpec:
-    """Parameters of a scan: state family, chi angle, p grid and seed."""
+    """Parameters of a scan: state family, p grid and seed."""
 
     family: str = "chi"
-    theta: float = math.pi / 8
     p_grid: np.ndarray = field(default_factory=lambda: np.round(np.arange(0.0, 1.0 + 1e-9, 0.01), 10))
     seed: int = 42
     # Strengths per party on the log-spaced grid that seeds optimize_filter.
     filter_grid_points: ClassVar[int] = 25
 
     def __post_init__(self):
-        if self.family not in ("chi", "ghz-noise"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected 'chi' or 'ghz-noise'")
         self.p_grid = np.asarray(self.p_grid, dtype=float)
         grid = self.p_grid
@@ -189,17 +192,18 @@ def _top_starts(grid: np.ndarray, logs: np.ndarray, count: int) -> list[np.ndarr
     return starts
 
 
-def _initial_simplex(start: np.ndarray, step: float, hi: float) -> np.ndarray:
-    """The start plus one step along each axis, taken inward at the upper face.
+def _initial_simplex(start: np.ndarray) -> np.ndarray:
+    """The start plus one REFINE_STEP along each axis, taken inward at the upper face.
 
     At a face, scipy's default simplex is clipped flat onto it and never leaves.
     """
-    steps = np.where(start + step <= hi, step, -step)
+    hi = FILTER_LOG_RANGE[1]
+    steps = np.where(start + REFINE_STEP <= hi, REFINE_STEP, -REFINE_STEP)
     return np.vstack([start, start + np.diag(steps)])
 
 
 class _EvaluationCap(Exception):
-    """Raised in place of an evaluation past maxfev."""
+    """Raised in place of an evaluation past REFINE_MAX_EVALS."""
 
 
 # scipy's non-adaptive Nelder-Mead coefficients: reflection, expansion,
@@ -217,45 +221,36 @@ def _by_value(sim: list, fsim: list) -> tuple[list, list]:
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def _nelder_mead(
-    fun, x0, args=(), *, bounds, initial_simplex, maxfev, xatol, fatol,
-    jac=None, hess=None, hessp=None, constraints=(), callback=None,
-):
-    """scipy's bounded Nelder-Mead, step for step, on vertices held as Python floats.
+def minimize(fun, start: np.ndarray) -> OptimizeResult:
+    """Minimum of ``fun`` over the filter box by bounded Nelder-Mead from ``_initial_simplex(start)``.
 
-    A method for ``scipy.optimize.minimize``. The initial simplex is reflected
-    into the box, then clipped, and every trial point is clipped; each
+    scipy's ``minimize(method="Nelder-Mead")`` with bounds FILTER_LOG_RANGE,
+    REFINE_TOLS and ``maxfev=REFINE_MAX_EVALS``, step for step, on vertices
+    held as Python floats: every trial point is clipped into the box and each
     coefficient product and sum is written in scipy's order, so the runs match
-    ``method="Nelder-Mead"`` bit for bit (x, fun, nfev, status) at a fraction of
-    its per-evaluation bookkeeping. The run stops on scipy's ``xatol``/``fatol``
-    test or, with status 1, at ``maxfev`` evaluations; it never makes more.
-    ``x0`` is the first vertex of ``initial_simplex``. minimize passes jac,
-    hess, hessp, constraints and callback to every custom method; none applies
-    here, so a value for any of them raises ValueError, and an option this
-    signature does not name raises TypeError.
+    it bit for bit (x, fun, nfev, status). The run stops on scipy's
+    ``xatol``/``fatol`` test or, with status 1, at REFINE_MAX_EVALS
+    evaluations; it never makes more. The function is named ``minimize``
+    because ``bench/spans.py`` wraps that name.
     """
-    if any(v is not None for v in (jac, hess, hessp, callback)) or constraints:
-        raise ValueError("_nelder_mead takes no jac, hess, hessp, constraints or callback")
-    lo = [float(b[0]) for b in bounds]
-    hi = [float(b[1]) for b in bounds]
-    n = len(lo)
+    lo, hi = FILTER_LOG_RANGE
+    xatol, fatol = REFINE_TOLS["xatol"], REFINE_TOLS["fatol"]
+    maxfev = REFINE_MAX_EVALS
+    n = len(start)
     nfev = 0
 
     def clip(x):
-        # np.clip: min(max(v, a), b), NaN passing through.
-        return [a if v < a else b if v > b else v for v, a, b in zip(x, lo, hi)]
+        # np.clip: min(max(v, lo), hi), NaN passing through.
+        return [lo if v < lo else hi if v > hi else v for v in x]
 
     def f(x):
         nonlocal nfev
         if nfev >= maxfev:
             raise _EvaluationCap
         nfev += 1
-        return float(fun(np.array(x), *args))
+        return float(fun(np.array(x)))
 
-    sim = [
-        clip([2 * b - v if v > b else v for v, b in zip(row, hi)])
-        for row in np.asarray(initial_simplex, dtype=float).tolist()
-    ]
+    sim = _initial_simplex(start).tolist()
     fsim = [math.inf] * (n + 1)
     try:
         for k in range(n + 1):
@@ -321,8 +316,7 @@ def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
     against the filtered state's own correlation matrix: a gap above 1e-9, or
     either value above sqrt(2) + 1e-9, raises ConsistencyError.
     """
-    lo, hi = FILTER_LOG_RANGE
-    logs = np.linspace(lo, hi, ScanSpec.filter_grid_points)
+    logs = np.linspace(*FILTER_LOG_RANGE, ScanSpec.filter_grid_points)
     kernel = _filter_kernel(rho)
     lam1, lam2 = _lambda_grids(kernel, 10.0**logs)
 
@@ -346,17 +340,7 @@ def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
                 tied = tied and pair[0] == pair[1]
                 return -pair[which]
 
-            res = minimize(
-                objective,
-                start,
-                method=_nelder_mead,
-                bounds=[(lo, hi)] * 3,
-                options={
-                    "maxfev": REFINE_MAX_EVALS,
-                    "initial_simplex": _initial_simplex(start, REFINE_STEP, hi),
-                    **REFINE_TOLS,
-                },
-            )
+            res = minimize(objective, start)
             candidates.append(res.x)
             if which == 0 and tied:
                 retraced[key] = res.x
@@ -416,7 +400,7 @@ def _certify_at(spec: ScanSpec, rho: np.ndarray, mode: str) -> tuple[BoundReport
 
 
 def _point_record(spec: ScanSpec, p: float) -> PointRecord:
-    rho = build_family_state(spec.family, p, spec.theta)
+    rho = build_family_state(spec.family, p)
     unf, _ = _certify_at(spec, rho, "unfiltered")
     filt, params = _certify_at(spec, rho, "filtered")
     return PointRecord(
@@ -434,7 +418,7 @@ def _point_record(spec: ScanSpec, p: float) -> PointRecord:
 
 
 def _violates_at(spec: ScanSpec, p: float, mode: str) -> bool:
-    rho = build_family_state(spec.family, p, spec.theta)
+    rho = build_family_state(spec.family, p)
     report, _ = _certify_at(spec, rho, mode)
     return report.violates
 
@@ -484,9 +468,9 @@ def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
     boundary. 'fig2' scans the ghz-noise family and pairs the filtered with
     the unfiltered threshold.
     """
-    if figure not in ("fig1", "fig2"):
+    if figure not in FIGURE_FAMILY:
         raise ValueError(f"unknown figure {figure!r}, expected 'fig1' or 'fig2'")
-    family = "chi" if figure == "fig1" else "ghz-noise"
+    family = FIGURE_FAMILY[figure]
     if spec is None:
         spec = ScanSpec(family=family)
     elif spec.family != family:
@@ -505,7 +489,7 @@ def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
 
     return ActivationReport(
         family=spec.family,
-        theta=spec.theta,
+        theta=CHI_THETA,
         seed=spec.seed,
         records=records,
         p_violation_unfiltered=p_unfiltered,
@@ -518,19 +502,13 @@ def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
 _CSV_FIELDS = tuple(f.name for f in fields(PointRecord))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format(value, ".15e")
-
-
 def write_csv(report: ActivationReport, path: str) -> None:
     """Per-p records as CSV with 16 significant digits."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
     for rec in report.records:
-        writer.writerow([_fmt(getattr(rec, name)) for name in _CSV_FIELDS])
+        writer.writerow([format_value(getattr(rec, name)) for name in _CSV_FIELDS])
     atomic_write_text(path, buf.getvalue())
 
 

@@ -19,9 +19,11 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 REPAIR_TOL = 1e-10
+# Default angle of the chi family's generalized GHZ component.
+CHI_THETA = math.pi / 8
 
 
-def validate_state(rho: np.ndarray, *, name: str = "state") -> np.ndarray:
+def validate_state(rho: np.ndarray) -> np.ndarray:
     """Check density-matrix invariants and return the state as complex128.
 
     Raises ValueError for a wrong shape or a non-finite entry, and
@@ -30,22 +32,22 @@ def validate_state(rho: np.ndarray, *, name: str = "state") -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (STATE_DIM, STATE_DIM):
-        raise ValueError(f"{name} must be {STATE_DIM}x{STATE_DIM}, got shape {rho.shape}")
+        raise ValueError(f"state must be {STATE_DIM}x{STATE_DIM}, got shape {rho.shape}")
     if not np.isfinite(rho).all():
-        raise ValueError(f"{name} has non-finite entries")
+        raise ValueError("state has non-finite entries")
     herm = np.abs(rho - rho.conj().T).max()
     if herm > HERMITICITY_TOL:
-        raise PhysicalityError(f"{name} hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL:g}")
+        raise PhysicalityError(f"state hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL:g}")
     trace_dev = abs(rho.trace() - 1.0)
     if trace_dev > TRACE_TOL:
-        raise PhysicalityError(f"{name} trace deviates by {trace_dev:.6g}")
+        raise PhysicalityError(f"state trace deviates by {trace_dev:.6g}")
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < EIGENVALUE_FLOOR:
-        raise PhysicalityError(f"{name} has eigenvalue {min_eig:.3e} below {EIGENVALUE_FLOOR:g}")
+        raise PhysicalityError(f"state has eigenvalue {min_eig:.3e} below {EIGENVALUE_FLOOR:g}")
     return rho
 
 
-def build_chi_state(p: float, theta: float = math.pi / 8) -> np.ndarray:
+def build_chi_state(p: float, theta: float = CHI_THETA) -> np.ndarray:
     """Mixture of a generalized GHZ state with a product-noise term.
 
     p * |psi><psi| + (1 - p) * |00><00| (x) I/2 with
@@ -133,8 +135,4 @@ def load_state(path: str) -> np.ndarray:
     if trace_dev > REPAIR_TOL:
         raise PhysicalityError(f"trace deviates by {trace_dev:.6g}")
     rho = (rho + rho.conj().T) / 2.0
-    rho = rho / rho.trace().real
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < EIGENVALUE_FLOOR:
-        raise PhysicalityError(f"eigenvalue {min_eig:.3e} below floor {EIGENVALUE_FLOOR:g}")
-    return rho
+    return validate_state(rho / rho.trace().real)

@@ -147,6 +147,25 @@ class TestFilterCommand:
         n = 0.17 + 0.165e-24 * (1.0 + 2e12) + 0.335
         assert float(out_map(out)["n"]) == pytest.approx(n, rel=1e-9)
 
+    def test_filter_is_applied_once(self, capsys, monkeypatch):
+        """The printed n comes from certify_filtered's own filtering, not from a second call."""
+        import svetbound.filtering as filtering_module
+
+        inner, calls = filtering_module.apply_filter, []
+
+        def spy(rho, filters):
+            calls.append(filters)
+            return inner(rho, filters)
+
+        monkeypatch.setattr(filtering_module, "apply_filter", spy)
+        monkeypatch.setattr(cli_module, "apply_filter", spy, raising=False)
+        code, out, _ = run(
+            capsys, ["filter", "--family", "ghz-noise", "--p", "0.5", "-x", "2", "-y", "1", "-z", "1"]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert float(out_map(out)["n"]) == pytest.approx(3.25, rel=1e-12)
+
     def test_kernel_cross_check_exit_6(self, capsys, monkeypatch):
         """The optimized filter's kernel value must match the filtered state's lambda1'."""
         import svetbound.scan as scan_module

@@ -16,6 +16,7 @@ from svetbound.filtering import (
     x_matrix,
 )
 from svetbound.linalg import pauli
+from svetbound.scan import optimize_filter
 from svetbound.states import build_chi_state, build_ghz_noise_state, validate_state
 from svetbound.svetlichny import correlation_matrix
 
@@ -136,6 +137,20 @@ class TestFilteredSingularValues:
             pair = SQ2 * p * x * y * z / n
             expected = np.sort([pair, pair, abs(d_closed_ghz(p, x, y, z)) / n])[::-1]
             np.testing.assert_allclose(fa.m_prime.svd.singular_values, expected, atol=1e-9)
+
+
+class TestFilteredAnalysis:
+    @pytest.mark.parametrize("source", ["explicit", "optimized"])
+    def test_literal_normalization(self, source):
+        """``n`` is the normalization apply_filter divides by, so callers need no second call."""
+        rho = build_ghz_noise_state(0.5)
+        if source == "explicit":
+            triple = FilterTriple.diagonal(2.0, 0.5, 1.5)
+            fa = filtered_bound(rho, triple)
+        else:
+            params, fa = optimize_filter(rho)
+            triple = params.triple()
+        assert fa.n == apply_filter(rho, triple)[1]
 
 
 class TestCorrelationTransport:

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize as scipy_minimize
 
 import svetbound.scan as scan_module
 from conftest import random_density
@@ -14,19 +14,18 @@ from svetbound.linalg import _PAULI_PRODUCTS, pauli_moments
 from svetbound.scan import (
     FILTER_LOG_RANGE,
     REFINE_MAX_EVALS,
-    REFINE_STEP,
     REFINE_TOLS,
     PointRecord,
     ScanSpec,
     _filter_kernel,
     _initial_simplex,
     _lambda_grids,
-    _nelder_mead,
     _singular_over_n,
     _top_starts,
     _threshold_from_records,
     build_family_state,
     figure_data,
+    minimize,
     optimize_filter,
     threshold_bisect,
     write_csv,
@@ -136,31 +135,29 @@ def dense_box_supremum(rho: np.ndarray, points: int = 41, starts: int = 20) -> f
     best = float(grids[0].max())
     for which, grid in enumerate(grids):
         for start in _top_starts(grid, logs, starts):
-            res = minimize(
+            res = scipy_minimize(
                 lambda v: -_singular_over_n(kernel, v)[which],
                 start,
                 method="Nelder-Mead",
                 bounds=[(lo, hi)] * 3,
                 options={
                     "xatol": 1e-10, "fatol": 1e-15, "maxfev": 20000,
-                    "initial_simplex": _initial_simplex(start, 0.1, hi),
+                    "initial_simplex": _initial_simplex(start),
                 },
             )
             best = max(best, _singular_over_n(kernel, res.x)[0])
     return best
 
 
-def refine_kwargs(start: np.ndarray, maxfev: int = REFINE_MAX_EVALS) -> dict:
-    """The bounds and options optimize_filter gives each refinement from ``start``."""
-    lo, hi = FILTER_LOG_RANGE
-    return {
-        "bounds": [(lo, hi)] * 3,
-        "options": {
-            "maxfev": maxfev,
-            "initial_simplex": _initial_simplex(start, REFINE_STEP, hi),
-            **REFINE_TOLS,
-        },
-    }
+def scipy_refinement(objective, start: np.ndarray, maxfev: int = REFINE_MAX_EVALS):
+    """scipy's bounded Nelder-Mead with the box, simplex and tolerances of ``minimize``."""
+    return scipy_minimize(
+        objective,
+        start,
+        method="Nelder-Mead",
+        bounds=[FILTER_LOG_RANGE] * 3,
+        options={"maxfev": maxfev, "initial_simplex": _initial_simplex(start), **REFINE_TOLS},
+    )
 
 
 def grid_starts(rho: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
@@ -178,9 +175,9 @@ def refinements(monkeypatch) -> list:
     runs = []
     inner = scan_module.minimize
 
-    def spy(fun, x0, *args, **kwargs):
-        res = inner(fun, x0, *args, **kwargs)
-        runs.append((np.array(x0), res))
+    def spy(fun, start):
+        res = inner(fun, start)
+        runs.append((np.array(start), res))
         return res
 
     monkeypatch.setattr(scan_module, "minimize", spy)
@@ -189,13 +186,14 @@ def refinements(monkeypatch) -> list:
 
 class TestNelderMead:
     @pytest.mark.parametrize("source", ["chi", "ghz-noise", "random"])
-    def test_nelder_mead_matches_scipy(self, source):
+    def test_nelder_mead_matches_scipy(self, monkeypatch, source):
         """Bit for bit against scipy's bounded Nelder-Mead from every grid start, and under a cap."""
         if source == "random":
             states = [random_density(np.random.default_rng(seed)) for seed in range(5)]
         else:
             states = [build_family_state(source, p) for p in np.round(np.arange(0.0, 1.0001, 0.05), 10)]
-        upper_face = []
+        # Starts on the upper face, whose simplex steps inward, are among them.
+        upper_face = 0
         for rho in states:
             kernel, starts = grid_starts(rho)
             for which, start in starts:
@@ -203,25 +201,14 @@ class TestNelderMead:
                 def objective(v, kernel=kernel, which=which):
                     return -_singular_over_n(kernel, v)[which]
 
-                if np.any(start == FILTER_LOG_RANGE[1]):
-                    upper_face.append((objective, start))
-
-                ref = minimize(objective, start, method="Nelder-Mead", **refine_kwargs(start))
-                lean = minimize(objective, start, method=_nelder_mead, **refine_kwargs(start))
+                upper_face += bool(np.any(start == FILTER_LOG_RANGE[1]))
+                ref = scipy_refinement(objective, start)
+                lean = minimize(objective, start)
                 assert np.array_equal(lean.x, ref.x)
                 assert (lean.fun, lean.nfev, lean.status, lean.success) == (
                     ref.fun, ref.nfev, ref.status, ref.success
                 )
         assert upper_face
-
-        # A simplex across the upper face, which both reflect back into the box.
-        objective, start = upper_face[0]
-        simplex = np.vstack([start, start + 0.1 * np.eye(3)])
-        kwargs = refine_kwargs(start)
-        kwargs["options"]["initial_simplex"] = simplex
-        ref = minimize(objective, start, method="Nelder-Mead", **kwargs)
-        lean = minimize(objective, start, method=_nelder_mead, **kwargs)
-        assert np.array_equal(lean.x, ref.x) and (lean.fun, lean.nfev) == (ref.fun, ref.nfev)
 
         # A run the cap stops: ghz-noise p = 0.5 needs over 400 evaluations from its best start.
         kernel, starts = grid_starts(build_ghz_noise_state(0.5))
@@ -230,26 +217,12 @@ class TestNelderMead:
         def objective(v):
             return -_singular_over_n(kernel, v)[which]
 
-        ref = minimize(objective, start, method="Nelder-Mead", **refine_kwargs(start, maxfev=40))
-        lean = minimize(objective, start, method=_nelder_mead, **refine_kwargs(start, maxfev=40))
+        ref = scipy_refinement(objective, start, maxfev=40)
+        monkeypatch.setattr(scan_module, "REFINE_MAX_EVALS", 40)
+        lean = minimize(objective, start)
         assert lean.status == ref.status == 1 and not lean.success
         assert lean.nfev == ref.nfev <= 40
         assert np.array_equal(lean.x, ref.x) and lean.fun == ref.fun
-
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            {"callback": lambda xk: None},
-            {"constraints": [{"type": "ineq", "fun": lambda v: v[0]}]},
-            {"jac": lambda v: np.zeros(3)},
-        ],
-        ids=["callback", "constraints", "jac"],
-    )
-    def test_unused_arguments_are_refused(self, extra):
-        """minimize's arguments that the lean method cannot honour raise, not vanish."""
-        start = np.zeros(3)
-        with pytest.raises(ValueError, match="takes no"):
-            minimize(lambda v: float(v @ v), start, method=_nelder_mead, **refine_kwargs(start), **extra)
 
 
 class TestOptimizeFilter:
@@ -296,9 +269,7 @@ class TestOptimizeFilter:
         ends = {start.tobytes(): res for start, res in refinements}
         for start in second:
             reused = ends[start.tobytes()]
-            rerun = minimize(
-                lambda v: -_singular_over_n(kernel, v)[1], start, method=_nelder_mead, **refine_kwargs(start)
-            )
+            rerun = minimize(lambda v: -_singular_over_n(kernel, v)[1], start)
             assert np.array_equal(rerun.x, reused.x)
             assert rerun.nfev == reused.nfev
 
