@@ -35,6 +35,8 @@ import io
 import json
 import math
 import operator
+import os
+import re
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
@@ -71,6 +73,17 @@ MAX_LAMBDA1 = math.sqrt(2.0) + KERNEL_CHECK_TOL
 
 # See-saw restarts per certification in a scan.
 ORACLE_RESTARTS = 8
+
+# Threaded BLAS libraries a pool worker must pin, by file name, and the
+# OpenBLAS entry points that set its thread count: numpy's wheels export the
+# first, scipy's the second.
+_BLAS_LIBRARY = re.compile(r"^lib(?:\w*openblas|mkl|blis)")
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 # Known boundary of the bilocal-model region for the chi family, quoted from
 # tabulated two-qubit results. Used only to annotate the activation window;
@@ -423,8 +436,17 @@ def _violates_at(spec: ScanSpec, p: float, mode: str) -> bool:
     return report.violates
 
 
-def _threshold(spec: ScanSpec, mode: str, ps: list[float], flags: list[bool], what: str) -> float | None:
-    """Bisect the single sign change of ``flags`` over the grid ``ps``, as threshold_bisect does."""
+def _flag_at(spec: ScanSpec, mode: str, p: float) -> bool:
+    """One grid flag of threshold_bisect; a pool task, so _violates_at is looked up in the worker."""
+    return _violates_at(spec, p, mode)
+
+
+def _sign_change(ps: list[float], flags: list[bool], what: str) -> tuple[float, float, bool] | None:
+    """The one grid interval where ``flags`` change sign, with the flag at its low end.
+
+    None without a change. More than one change raises NonMonotonePredicateError
+    carrying every bracketing interval.
+    """
     changes = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
     if not changes:
         return None
@@ -432,7 +454,11 @@ def _threshold(spec: ScanSpec, mode: str, ps: list[float], flags: list[bool], wh
         brackets = [(ps[i], ps[i + 1]) for i in changes]
         raise NonMonotonePredicateError(f"{what} changes sign {len(changes)} times on the grid", brackets)
     i = changes[0]
-    lo, hi, flag_lo = ps[i], ps[i + 1], flags[i]
+    return ps[i], ps[i + 1], flags[i]
+
+
+def _bisect(spec: ScanSpec, mode: str, lo: float, hi: float, flag_lo: bool) -> float:
+    """Bisect the sign change of the ``mode`` predicate inside [lo, hi] to BISECT_TOL."""
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if _violates_at(spec, mid, mode) == flag_lo:
@@ -442,22 +468,95 @@ def _threshold(spec: ScanSpec, mode: str, ps: list[float], flags: list[bool], wh
     return 0.5 * (lo + hi)
 
 
+def _blas_pins() -> list[tuple[str, str]] | None:
+    """(library path, thread-count setter) of every loaded OpenBLAS.
+
+    None when the loaded libraries cannot be listed, or when a loaded BLAS
+    (OpenBLAS, MKL or BLIS) has no OpenBLAS setter to pin it with.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh) if len(parts) == 6}
+    except OSError:
+        return None
+    pins = []
+    for path in sorted(p for p in paths if _BLAS_LIBRARY.search(os.path.basename(p))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            return None
+        setter = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        if setter is None:
+            return None
+        pins.append((path, setter))
+    return pins
+
+
+def _pin_blas(pins: list[tuple[str, str]]) -> None:
+    """Pool worker initializer: every loaded OpenBLAS runs single-threaded."""
+    import ctypes
+
+    for path, setter in pins:
+        fn = getattr(ctypes.CDLL(path), setter)
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+        fn(1)
+
+
+def _scan_map(fn, tasks: list[tuple]) -> list:
+    """``[fn(*args) for args in tasks]``, on a fork pool or in-process.
+
+    The pool has one worker per usable core, capped at the number of tasks.
+    Its workers are forked, so they inherit the imported package, and each
+    pins every loaded OpenBLAS to one thread before its first task: a
+    multi-threaded BLAS in every worker would only contend for the same cores.
+    The calls run in-process with one usable core or one task, without fork,
+    or when a loaded BLAS cannot be pinned. Every task is seeded from its own
+    arguments alone, so the results do not depend on where they ran. The
+    first task to fail, in task order, raises its exception here; the tasks
+    not started yet are cancelled and no worker outlives the call.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cores, len(tasks))
+    if workers > 1:
+        import multiprocessing
+
+        pins = _blas_pins() if "fork" in multiprocessing.get_all_start_methods() else None
+        if pins is not None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"), initializer=_pin_blas, initargs=(pins,)
+            )
+            try:
+                futures = [pool.submit(fn, *args) for args in tasks]
+                return [future.result() for future in futures]
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+    return [fn(*args) for args in tasks]
+
+
 def threshold_bisect(spec: ScanSpec, mode: str) -> float | None:
     """Violation threshold in p, or None when the grid shows no sign change.
 
     The grid predicate must change sign exactly once; multiple changes raise
     NonMonotonePredicateError carrying every bracketing interval, since a
-    bisection there could silently pick an arbitrary crossing.
+    bisection there could silently pick an arbitrary crossing. The grid points
+    are certified in parallel, one pool worker per usable core with BLAS
+    pinned to one thread per worker (in-process on one core, e.g. under
+    ``taskset -c 0``); the bisection that follows runs in-process. The result
+    does not depend on the worker count.
     """
     ps = [float(p) for p in spec.p_grid]
-    flags = [_violates_at(spec, p, mode) for p in ps]
-    return _threshold(spec, mode, ps, flags, "predicate")
+    flags = _scan_map(_flag_at, [(spec, mode, p) for p in ps])
+    change = _sign_change(ps, flags, "predicate")
+    return None if change is None else _bisect(spec, mode, *change)
 
 
-def _threshold_from_records(spec: ScanSpec, records: list[PointRecord], mode: str) -> float | None:
+def _records_sign_change(records: list[PointRecord], mode: str) -> tuple[float, float, bool] | None:
     key = "violates_before" if mode == "unfiltered" else "violates_after"
-    flags = [getattr(r, key) for r in records]
-    return _threshold(spec, mode, [r.p for r in records], flags, key)
+    return _sign_change([r.p for r in records], [getattr(r, key) for r in records], key)
 
 
 def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
@@ -467,6 +566,11 @@ def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
     its window pairs the filtered threshold with the tabulated bilocal
     boundary. 'fig2' scans the ghz-noise family and pairs the filtered with
     the unfiltered threshold.
+
+    The grid points, and then the figure's two bisections, run in parallel:
+    one pool worker per usable core, each with BLAS pinned to one thread, and
+    in-process on one core (e.g. under ``taskset -c 0``). Every point is seeded
+    from ``spec.seed`` alone, so the report does not depend on the worker count.
     """
     if figure not in FIGURE_FAMILY:
         raise ValueError(f"unknown figure {figure!r}, expected 'fig1' or 'fig2'")
@@ -476,9 +580,12 @@ def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
     elif spec.family != family:
         raise ValueError(f"{figure} scans the {family!r} family, spec has {spec.family!r}")
 
-    records = [_point_record(spec, p) for p in spec.p_grid]
-    p_unfiltered = _threshold_from_records(spec, records, "unfiltered")
-    p_filtered = _threshold_from_records(spec, records, "filtered")
+    records = _scan_map(_point_record, [(spec, p) for p in spec.p_grid])
+    # Both grid checks come before either bisection, the unfiltered one first.
+    changes = {mode: _records_sign_change(records, mode) for mode in ("unfiltered", "filtered")}
+    modes = [mode for mode, change in changes.items() if change is not None]
+    found = dict(zip(modes, _scan_map(_bisect, [(spec, mode, *changes[mode]) for mode in modes])))
+    p_unfiltered, p_filtered = found.get("unfiltered"), found.get("filtered")
 
     annotations: dict = {}
     if figure == "fig1":

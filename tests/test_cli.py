@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -179,6 +180,26 @@ class TestFilterCommand:
 
         monkeypatch.setattr(scan_module, "filtered_bound", shifted)
         code, out, err = run(capsys, ["filter", "--family", "ghz-noise", "--p", "0.5", "--optimize"])
+        assert code == 6
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: filter kernel check failed")
+
+    def test_kernel_cross_check_in_scan_worker_exit_6(self, capsys, monkeypatch):
+        """Raised in a pool worker, the failed cross-check is still one error line and exit 6."""
+        import svetbound.scan as scan_module
+
+        inner = scan_module.filtered_bound
+
+        def shifted(rho, filters):
+            fa = inner(rho, filters)
+            fa.lambda1_prime += 1e-6
+            return fa
+
+        monkeypatch.setattr(scan_module, "filtered_bound", shifted)
+        # Two usable cores, so the two grid points go to two workers.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code, out, err = run(capsys, ["scan", "--figure", "fig2", "--p-grid", "0.9:1:0.1"])
         assert code == 6
         assert out == ""
         assert len(err.splitlines()) == 1

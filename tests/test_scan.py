@@ -1,5 +1,9 @@
+import ctypes
 import json
 import math
+import multiprocessing
+import os
+import pickle
 
 import mpmath
 import numpy as np
@@ -20,9 +24,9 @@ from svetbound.scan import (
     _filter_kernel,
     _initial_simplex,
     _lambda_grids,
+    _records_sign_change,
     _singular_over_n,
     _top_starts,
-    _threshold_from_records,
     build_family_state,
     figure_data,
     minimize,
@@ -362,12 +366,21 @@ class TestThresholdBisect:
     def test_non_monotone_grid_refused(self, monkeypatch):
         import svetbound.scan as scan_module
 
-        calls = iter([False, True, False, True])
-        monkeypatch.setattr(scan_module, "_violates_at", lambda spec, p, mode: next(calls))
+        # A pure function of p: grid points may be certified in forked workers.
+        flags = {0.1: False, 0.2: True, 0.3: False, 0.4: True}
+        monkeypatch.setattr(scan_module, "_violates_at", lambda spec, p, mode: flags[p])
         spec = ScanSpec(family="chi", p_grid=np.array([0.1, 0.2, 0.3, 0.4]))
         with pytest.raises(NonMonotonePredicateError) as err:
             scan_module.threshold_bisect(spec, "unfiltered")
         assert err.value.brackets == [(0.1, 0.2), (0.2, 0.3), (0.3, 0.4)]
+
+    def test_non_monotone_error_pickles(self):
+        """The error crosses a process boundary with its message and brackets."""
+        err = NonMonotonePredicateError("two crossings", [(0.1, 0.2), (0.3, 0.4)])
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is NonMonotonePredicateError
+        assert str(back) == "two crossings"
+        assert back.brackets == [(0.1, 0.2), (0.3, 0.4)]
 
     def test_bad_mode(self):
         spec = ScanSpec(family="chi", p_grid=np.array([0.1, 0.2]))
@@ -386,14 +399,13 @@ class TestRecordsThreshold:
 
     def test_multiple_flips_raise_with_brackets(self):
         records = [self._record(p, a) for p, a in ((0.1, False), (0.2, True), (0.3, False))]
-        spec = ScanSpec(family="chi")
         with pytest.raises(NonMonotonePredicateError) as err:
-            _threshold_from_records(spec, records, "filtered")
+            _records_sign_change(records, "filtered")
         assert err.value.brackets == [(0.1, 0.2), (0.2, 0.3)]
 
     def test_no_flip_returns_none(self):
         records = [self._record(p, False) for p in (0.1, 0.2)]
-        assert _threshold_from_records(ScanSpec(family="chi"), records, "filtered") is None
+        assert _records_sign_change(records, "filtered") is None
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +458,75 @@ class TestFigureData:
     def test_unknown_figure(self):
         with pytest.raises(ValueError, match="figure"):
             figure_data("fig3")
+
+
+def _openblas_threads() -> list[int]:
+    """Thread count of every loaded OpenBLAS, read through its getter."""
+    counts = []
+    for path, setter in scan_module._blas_pins():
+        getter = getattr(ctypes.CDLL(path), setter.replace("_set_", "_get_"))
+        getter.restype = ctypes.c_int
+        counts.append(getter())
+    return counts
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the usable cores the scan pool sees: cores(n) reports n of them."""
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return use
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no core affinity to report")
+class TestParallelScan:
+    SPEC = dict(family="ghz-noise", p_grid=np.round(np.arange(0.0, 1.0001, 0.25), 10))
+
+    def test_worker_count_does_not_change_results(self, cores):
+        cores(1)
+        serial = figure_data("fig2", ScanSpec(**self.SPEC))
+        cores(2)
+        parallel = figure_data("fig2", ScanSpec(**self.SPEC))
+        assert parallel == serial
+        assert parallel.p_violation_filtered is not None and parallel.p_violation_unfiltered is not None
+
+    def test_tasks_run_in_pinned_workers(self, cores):
+        """Two tasks on two cores run in forked workers, each with every OpenBLAS on one thread."""
+        pins = scan_module._blas_pins()
+        assert pins, "no OpenBLAS setter found among the loaded libraries"
+        cores(2)
+        assert os.getpid() not in scan_module._scan_map(os.getpid, [(), ()])
+        # Two threads in the parent, inherited by a fork unless the worker pins them.
+        before = _openblas_threads()
+        for path, setter in pins:
+            getattr(ctypes.CDLL(path), setter)(2)
+        try:
+            assert scan_module._scan_map(_openblas_threads, [(), ()]) == [[1] * len(pins)] * 2
+        finally:
+            for (path, setter), count in zip(pins, before):
+                getattr(ctypes.CDLL(path), setter)(count)
+
+    def test_one_core_runs_in_process(self, cores):
+        cores(1)
+        assert scan_module._scan_map(os.getpid, [(), ()]) == [os.getpid()] * 2
+
+    def test_no_worker_outlives_the_scan(self, cores, monkeypatch):
+        cores(2)
+        figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=[0.9, 1.0]))
+        assert multiprocessing.active_children() == []
+        inner = scan_module.filtered_bound
+
+        def shifted(rho, filters):
+            fa = inner(rho, filters)
+            fa.lambda1_prime += 1e-6
+            return fa
+
+        monkeypatch.setattr(scan_module, "filtered_bound", shifted)
+        with pytest.raises(ConsistencyError, match="filter kernel check failed"):
+            figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=[0.9, 1.0]))
+        assert multiprocessing.active_children() == []
 
 
 class TestScanSpec:
