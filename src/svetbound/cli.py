@@ -29,6 +29,8 @@ from .scan import (
     FAMILIES,
     FIGURE_FAMILY,
     ScanSpec,
+    _blas_pins,
+    _pin_blas,
     build_family_state,
     figure_data,
     optimize_filter,
@@ -290,6 +292,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    # The package's matrices are at most 8x8, so a BLAS thread pool gains
+    # nothing and keeps a second core spinning through the tightness search.
+    _pin_blas(_blas_pins() or [])
     try:
         return args.func(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:

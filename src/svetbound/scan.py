@@ -24,7 +24,16 @@ Refining the second-value optima and ranking every candidate by the first
 value keeps the search out of the plateau trap. On that degenerate branch a
 second-value refinement often starts where a leading-value one did and would
 see the same values at every point; it is skipped and the leading run's end
-point reused, which changes no result.
+point reused, which changes no result. Each evaluation calls LAPACK's 3x3
+symmetric eigen-solver directly, under np.linalg.eigvalsh's error state.
+
+A scan (figure_data, threshold_bisect) certifies its p grid and bisects each
+sign change on one pool of forked workers, one per usable core with BLAS
+pinned to one thread, or in-process on one core. Grid points go out in p
+order; a bisection starts as soon as the grid points below its sign change
+are certified, and its steps go before further grid points, so both cores
+stay busy until the last step. Every task is seeded from its arguments alone,
+so results, and the errors a scan raises, do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 from scipy.optimize import OptimizeResult
 
 from .analysis import certify_filtered, certify_unfiltered
@@ -171,11 +181,30 @@ def _lambda_grids(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
     return s[..., 1] / n_all, s[..., 0] / n_all
 
 
+# LAPACK's symmetric eigenvalue gufunc behind np.linalg.eigvalsh, on the lower triangle.
+_eigvalsh_lo = _umath_linalg.eigvalsh_lo
+
+
+def _eigvalsh_failed(err: str, flag: int) -> None:
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of a real symmetric float64 matrix: the same bits and the same errors.
+
+    The gufunc runs under the wrapper's own error state, so a failed solve
+    raises LinAlgError. The wrapper's array checks and conversions, which
+    change nothing for a float64 matrix, cost more than a 3x3 solve.
+    """
+    with np.errstate(call=_eigvalsh_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _eigvalsh_lo(a, signature="d->d")
+
+
 def _singular_over_n(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[float, float]:
     """Leading and second normalized singular values at log10 filter strengths."""
     out = kernel @ 10.0 ** (_EXPONENTS @ log_xyz)
     xm = out[:27].reshape(3, 9)
-    w = np.linalg.eigvalsh(xm @ xm.T)
+    w = _eigvalsh(xm @ xm.T)
     n = float(out[27])
     return math.sqrt(max(w[2], 0.0)) / n, math.sqrt(max(w[1], 0.0)) / n
 
@@ -436,9 +465,17 @@ def _violates_at(spec: ScanSpec, p: float, mode: str) -> bool:
     return report.violates
 
 
-def _flag_at(spec: ScanSpec, mode: str, p: float) -> bool:
-    """One grid flag of threshold_bisect; a pool task, so _violates_at is looked up in the worker."""
-    return _violates_at(spec, p, mode)
+def _task(spec: ScanSpec, p: float, mode: str | None):
+    """One scan task: the record at ``p`` (``mode`` None) or the ``mode`` predicate there.
+
+    A pool sends it to a worker by name, so the worker calls _point_record and
+    _violates_at from its own copy of this module.
+    """
+    return _point_record(spec, p) if mode is None else _violates_at(spec, p, mode)
+
+
+# The record field that holds each mode's predicate value.
+_VIOLATES = {"unfiltered": "violates_before", "filtered": "violates_after"}
 
 
 def _sign_change(ps: list[float], flags: list[bool], what: str) -> tuple[float, float, bool] | None:
@@ -457,15 +494,41 @@ def _sign_change(ps: list[float], flags: list[bool], what: str) -> tuple[float, 
     return ps[i], ps[i + 1], flags[i]
 
 
-def _bisect(spec: ScanSpec, mode: str, lo: float, hi: float, flag_lo: bool) -> float:
-    """Bisect the sign change of the ``mode`` predicate inside [lo, hi] to BISECT_TOL."""
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if _violates_at(spec, mid, mode) == flag_lo:
-            lo = mid
+def _records_sign_change(records: list[PointRecord], mode: str) -> tuple[float, float, bool] | None:
+    key = _VIOLATES[mode]
+    return _sign_change([r.p for r in records], [getattr(r, key) for r in records], key)
+
+
+@dataclass
+class _Chain:
+    """Bisection of one mode's sign change inside [lo, hi] to BISECT_TOL, one midpoint per task.
+
+    A midpoint whose predicate value equals ``flag_lo``, the value at ``lo``,
+    becomes the new ``lo``; any other becomes ``hi``. The threshold is the
+    last midpoint, 0.5 * (lo + hi) once hi - lo <= BISECT_TOL.
+    """
+
+    lo: float
+    hi: float
+    flag_lo: bool
+    running: bool = False
+    # Set when a step fails or the grid shows a second sign change.
+    stopped: bool = False
+    error: Exception | None = None
+
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def pending(self) -> bool:
+        return not (self.running or self.stopped) and self.hi - self.lo > BISECT_TOL
+
+    def step(self, flag: bool) -> None:
+        if flag == self.flag_lo:
+            self.lo = self.mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            self.hi = self.mid
 
 
 def _blas_pins() -> list[tuple[str, str]] | None:
@@ -495,7 +558,7 @@ def _blas_pins() -> list[tuple[str, str]] | None:
 
 
 def _pin_blas(pins: list[tuple[str, str]]) -> None:
-    """Pool worker initializer: every loaded OpenBLAS runs single-threaded."""
+    """Every OpenBLAS in ``pins`` runs single-threaded; a pool worker's initializer."""
     import ctypes
 
     for path, setter in pins:
@@ -504,21 +567,35 @@ def _pin_blas(pins: list[tuple[str, str]]) -> None:
         fn(1)
 
 
-def _scan_map(fn, tasks: list[tuple]) -> list:
-    """``[fn(*args) for args in tasks]``, on a fork pool or in-process.
+class _InProcess:
+    """A scan pool's ``submit`` and ``shutdown`` in the calling process: each task runs when submitted."""
 
-    The pool has one worker per usable core, capped at the number of tasks.
-    Its workers are forked, so they inherit the imported package, and each
-    pins every loaded OpenBLAS to one thread before its first task: a
-    multi-threaded BLAS in every worker would only contend for the same cores.
-    The calls run in-process with one usable core or one task, without fork,
-    or when a loaded BLAS cannot be pinned. Every task is seeded from its own
-    arguments alone, so the results do not depend on where they ran. The
-    first task to fail, in task order, raises its exception here; the tasks
-    not started yet are cancelled and no worker outlives the call.
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
+def _pool(points: int):
+    """The pool a scan of ``points`` grid points runs on, and its worker count.
+
+    A fork pool has one worker per usable core, capped at the number of grid
+    points. Its workers inherit the imported package, and each pins every
+    loaded OpenBLAS to one thread before its first task: a multi-threaded BLAS
+    in every worker would only contend for the same cores. The scan runs
+    in-process with one usable core or one grid point, without fork, or when
+    a loaded BLAS cannot be pinned.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cores, len(tasks))
+    workers = min(cores, points)
     if workers > 1:
         import multiprocessing
 
@@ -526,15 +603,99 @@ def _scan_map(fn, tasks: list[tuple]) -> list:
         if pins is not None:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"), initializer=_pin_blas, initargs=(pins,)
-            )
-            try:
-                futures = [pool.submit(fn, *args) for args in tasks]
-                return [future.result() for future in futures]
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-    return [fn(*args) for args in tasks]
+            context = multiprocessing.get_context("fork")
+            return ProcessPoolExecutor(workers, mp_context=context, initializer=_pin_blas, initargs=(pins,)), workers
+    return _InProcess(), 1
+
+
+def _scan(spec: ScanSpec, grid_mode: str | None, modes: tuple[str, ...]) -> tuple[list, dict[str, float | None]]:
+    """Grid results of a scan, and each mode's threshold (None without a sign change on the grid).
+
+    A grid task computes the record at a p point (``grid_mode`` None) or the
+    ``grid_mode`` predicate there. Grid points and bisection steps share one
+    pool (see _pool), with at most one task in flight per worker. Grid points
+    go out in p order, and a pending bisection step goes before the next grid
+    point. A mode's bisection starts as soon as the finished prefix of the
+    grid shows its sign change, on the interval a whole monotone grid would
+    give, so it evaluates the same midpoints.
+
+    Failures are raised in one order, whatever the worker count: first the
+    first grid point to fail, in p order, with nothing new started after a
+    grid point fails; then NonMonotonePredicateError for the first of
+    ``modes`` whose grid changes sign more than once; then the first of
+    ``modes`` whose bisection failed. Every task is seeded from its own
+    arguments, so the results do not depend on where or when it ran, and no
+    worker outlives the call.
+    """
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    ps = [float(p) for p in spec.p_grid]
+    results: list = [None] * len(ps)
+    finished = [False] * len(ps)
+    submitted = prefix = 0
+    grid_errors: dict[int, Exception] = {}
+    chains: dict[str, _Chain] = {}
+
+    def flag(i: int, mode: str) -> bool:
+        return results[i] if grid_mode else getattr(results[i], _VIOLATES[mode])
+
+    pool, workers = _pool(len(ps))
+    # Future -> (grid index, None) for a grid point, (None, mode) for a bisection step.
+    in_flight: dict = {}
+    try:
+        while True:
+            while len(in_flight) < workers and not grid_errors:
+                mode = next((m for m in modes if m in chains and chains[m].pending), None)
+                if mode is not None:
+                    chains[mode].running = True
+                    in_flight[pool.submit(_task, spec, chains[mode].mid, mode)] = (None, mode)
+                elif submitted < len(ps):
+                    in_flight[pool.submit(_task, spec, ps[submitted], grid_mode)] = (submitted, None)
+                    submitted += 1
+                else:
+                    break
+            if not in_flight:
+                break
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                index, mode = in_flight.pop(future)
+                error = future.exception()
+                if index is None:
+                    chain = chains[mode]
+                    chain.running = False
+                    if error is None:
+                        chain.step(future.result())
+                    else:
+                        chain.error, chain.stopped = error, True
+                elif error is None:
+                    results[index], finished[index] = future.result(), True
+                else:
+                    grid_errors[index] = error
+            start = prefix
+            while prefix < len(ps) and finished[prefix]:
+                prefix += 1
+            for i in range(max(start - 1, 0), prefix - 1):
+                for m in modes:
+                    if flag(i, m) != flag(i + 1, m):
+                        if m in chains:
+                            # A second sign change: the grid check below refuses this mode.
+                            chains[m].stopped = True
+                        else:
+                            chains[m] = _Chain(ps[i], ps[i + 1], flag(i, m))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+    if grid_errors:
+        raise grid_errors[min(grid_errors)]
+    for m in modes:
+        if grid_mode is None:
+            _records_sign_change(results, m)
+        else:
+            _sign_change(ps, results, "predicate")
+    for m in modes:
+        if m in chains and chains[m].error is not None:
+            raise chains[m].error
+    return results, {m: chains[m].mid if m in chains else None for m in modes}
 
 
 def threshold_bisect(spec: ScanSpec, mode: str) -> float | None:
@@ -543,20 +704,14 @@ def threshold_bisect(spec: ScanSpec, mode: str) -> float | None:
     The grid predicate must change sign exactly once; multiple changes raise
     NonMonotonePredicateError carrying every bracketing interval, since a
     bisection there could silently pick an arbitrary crossing. The grid points
-    are certified in parallel, one pool worker per usable core with BLAS
-    pinned to one thread per worker (in-process on one core, e.g. under
-    ``taskset -c 0``); the bisection that follows runs in-process. The result
-    does not depend on the worker count.
+    and the bisection steps share one pool, one worker per usable core with
+    BLAS pinned to one thread (in-process on one core, e.g. under
+    ``taskset -c 0``), and the bisection starts as soon as the grid points
+    below the sign change are certified. The result does not depend on the
+    worker count.
     """
-    ps = [float(p) for p in spec.p_grid]
-    flags = _scan_map(_flag_at, [(spec, mode, p) for p in ps])
-    change = _sign_change(ps, flags, "predicate")
-    return None if change is None else _bisect(spec, mode, *change)
-
-
-def _records_sign_change(records: list[PointRecord], mode: str) -> tuple[float, float, bool] | None:
-    key = "violates_before" if mode == "unfiltered" else "violates_after"
-    return _sign_change([r.p for r in records], [getattr(r, key) for r in records], key)
+    _, found = _scan(spec, mode, (mode,))
+    return found[mode]
 
 
 def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
@@ -567,10 +722,12 @@ def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
     boundary. 'fig2' scans the ghz-noise family and pairs the filtered with
     the unfiltered threshold.
 
-    The grid points, and then the figure's two bisections, run in parallel:
-    one pool worker per usable core, each with BLAS pinned to one thread, and
-    in-process on one core (e.g. under ``taskset -c 0``). Every point is seeded
-    from ``spec.seed`` alone, so the report does not depend on the worker count.
+    The grid points and both bisections share one pool, one worker per usable
+    core with BLAS pinned to one thread (in-process on one core, e.g. under
+    ``taskset -c 0``). Each bisection starts as soon as the grid points below
+    its sign change are certified. The unfiltered grid is checked before the
+    filtered one. Every point is seeded from ``spec.seed`` alone, so the
+    report does not depend on the worker count.
     """
     if figure not in FIGURE_FAMILY:
         raise ValueError(f"unknown figure {figure!r}, expected 'fig1' or 'fig2'")
@@ -580,12 +737,8 @@ def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
     elif spec.family != family:
         raise ValueError(f"{figure} scans the {family!r} family, spec has {spec.family!r}")
 
-    records = _scan_map(_point_record, [(spec, p) for p in spec.p_grid])
-    # Both grid checks come before either bisection, the unfiltered one first.
-    changes = {mode: _records_sign_change(records, mode) for mode in ("unfiltered", "filtered")}
-    modes = [mode for mode, change in changes.items() if change is not None]
-    found = dict(zip(modes, _scan_map(_bisect, [(spec, mode, *changes[mode]) for mode in modes])))
-    p_unfiltered, p_filtered = found.get("unfiltered"), found.get("filtered")
+    records, found = _scan(spec, None, ("unfiltered", "filtered"))
+    p_unfiltered, p_filtered = found["unfiltered"], found["filtered"]
 
     annotations: dict = {}
     if figure == "fig1":

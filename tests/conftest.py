@@ -1,5 +1,10 @@
+import contextlib
+import ctypes
+
 import numpy as np
 import pytest
+
+from svetbound.scan import _blas_pins
 
 
 def random_density(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
@@ -23,3 +28,33 @@ def random_su2(rng: np.random.Generator) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+def _blas_pins_found() -> list[tuple[str, str]]:
+    pins = _blas_pins()
+    assert pins, "no OpenBLAS setter found among the loaded libraries"
+    return pins
+
+
+def openblas_threads() -> list[int]:
+    """Thread count of every loaded OpenBLAS, read through its getter."""
+    counts = []
+    for path, setter in _blas_pins_found():
+        getter = getattr(ctypes.CDLL(path), setter.replace("_set_", "_get_"))
+        getter.restype = ctypes.c_int
+        counts.append(getter())
+    return counts
+
+
+@contextlib.contextmanager
+def openblas_threads_set(count: int):
+    """Every loaded OpenBLAS on ``count`` threads inside the block; the old counts restored after it."""
+    pins = _blas_pins_found()
+    before = openblas_threads()
+    for path, setter in pins:
+        getattr(ctypes.CDLL(path), setter)(count)
+    try:
+        yield
+    finally:
+        for (path, setter), old in zip(pins, before):
+            getattr(ctypes.CDLL(path), setter)(old)

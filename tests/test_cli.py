@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import svetbound.cli as cli_module
+from conftest import openblas_threads, openblas_threads_set
 from svetbound.cli import main
 from svetbound.errors import (
     ConsistencyError,
@@ -114,6 +115,15 @@ class TestBoundCommand:
         code, out, _ = run(capsys, ["bound", "--state", str(path)])
         assert code == 0
         assert float(out_map(out)["lambda1"]) == pytest.approx(0.9 * SQ2, abs=1e-10)
+
+
+    def test_runs_single_threaded_blas(self, capsys):
+        """cli.main pins every loaded OpenBLAS to one thread before it runs a command."""
+        with openblas_threads_set(2):
+            assert set(openblas_threads()) == {2}
+            code, _, _ = run(capsys, ["bound", "--family", "ghz-noise", "--p", "0.8"])
+            assert code == 0
+            assert set(openblas_threads()) == {1}
 
 
 class TestFilterCommand:

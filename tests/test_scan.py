@@ -1,9 +1,9 @@
-import ctypes
 import json
 import math
 import multiprocessing
 import os
 import pickle
+import time
 
 import mpmath
 import numpy as np
@@ -11,11 +11,12 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 
 import svetbound.scan as scan_module
-from conftest import random_density
+from conftest import openblas_threads, openblas_threads_set, random_density
 from svetbound.errors import ConsistencyError, NonMonotonePredicateError
 from svetbound.filtering import FilterTriple, filtered_bound
 from svetbound.linalg import _PAULI_PRODUCTS, pauli_moments
 from svetbound.scan import (
+    BISECT_TOL,
     FILTER_LOG_RANGE,
     REFINE_MAX_EVALS,
     REFINE_TOLS,
@@ -74,6 +75,75 @@ class TestFastPath:
             first, second = _singular_over_n(kernel, logs[list(idx)])
             assert lam1[idx] == pytest.approx(first, abs=1e-12)
             assert lam2[idx] == pytest.approx(second, abs=1e-12)
+
+
+def eigvalsh_singular_over_n(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[float, float]:
+    """_singular_over_n through np.linalg.eigvalsh: the reference for its direct eigen-solver call."""
+    out = kernel @ 10.0 ** (scan_module._EXPONENTS @ log_xyz)
+    xm = out[:27].reshape(3, 9)
+    w = np.linalg.eigvalsh(xm @ xm.T)
+    n = float(out[27])
+    return math.sqrt(max(w[2], 0.0)) / n, math.sqrt(max(w[1], 0.0)) / n
+
+
+def outcome(fn, *args):
+    """The bits ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestEigenSolver:
+    """_eigvalsh and _singular_over_n against np.linalg.eigvalsh, bit for bit and error for error."""
+
+    def test_random_kernels(self, rng):
+        for _ in range(20):
+            kernel = _filter_kernel(random_density(rng))
+            for log_xyz in rng.uniform(*FILTER_LOG_RANGE, size=(20, 3)):
+                assert outcome(_singular_over_n, kernel, log_xyz) == outcome(eigvalsh_singular_over_n, kernel, log_xyz)
+
+    def test_degenerate_ghz_branch(self):
+        """Every point the leading-value runs visit on ghz-noise p = 0.5, where lambda1 == lambda2 exactly."""
+        kernel, starts = grid_starts(build_ghz_noise_state(0.5))
+        visited = []
+        for which, start in starts:
+            minimize(lambda v: visited.append(v) or -_singular_over_n(kernel, v)[which], start)
+        ties = 0
+        for v in visited:
+            pair = _singular_over_n(kernel, v)
+            assert np.asarray(pair).tobytes() == np.asarray(eigvalsh_singular_over_n(kernel, v)).tobytes()
+            ties += pair[0] == pair[1]
+        assert ties > len(visited) // 2
+
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            np.diag([np.nan, 1.0, 2.0]),
+            np.diag([np.inf, 1.0, 2.0]),
+            np.diag([-np.inf, 1.0, 2.0]),
+            np.full((3, 3), np.nan),
+            np.array([[np.inf, np.inf, np.inf], [np.inf, 2.0, 1.0], [np.inf, 1.0, 2.0]]),
+            np.array([[1.0, np.nan, 0.0], [np.nan, 2.0, 0.0], [0.0, 0.0, 3.0]]),
+        ],
+    )
+    def test_non_finite_matrix(self, gram):
+        assert outcome(scan_module._eigvalsh, gram) == outcome(np.linalg.eigvalsh, gram)
+
+    @pytest.mark.parametrize("log_xyz", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]])
+    def test_non_finite_strengths(self, log_xyz):
+        kernel = _filter_kernel(build_chi_state(0.5))
+        with np.errstate(invalid="ignore"):
+            want = outcome(eigvalsh_singular_over_n, kernel, np.array(log_xyz))
+            assert outcome(_singular_over_n, kernel, np.array(log_xyz)) == want
+
+    def test_failed_solve_raises_linalgerror(self, monkeypatch):
+        """A solve LAPACK reports as failed raises LinAlgError, as np.linalg.eigvalsh does, not a warning."""
+        solve = scan_module._eigvalsh_lo
+        monkeypatch.setattr(scan_module, "_eigvalsh_lo", lambda a, **kw: solve(np.full_like(a, np.nan), **kw))
+        kernel = _filter_kernel(build_ghz_noise_state(0.5))
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _singular_over_n(kernel, np.zeros(3))
 
 
 def mp_singular_over_n(rho: np.ndarray, xyz, dps: int = 40) -> tuple[float, float]:
@@ -391,11 +461,7 @@ class TestThresholdBisect:
 class TestRecordsThreshold:
     @staticmethod
     def _record(p, after):
-        return PointRecord(
-            p=p, unfiltered_bound=0.0, unfiltered_attained=0.0, x=1.0, y=1.0, z=1.0,
-            filtered_bound=0.0, filtered_attained=0.0,
-            violates_before=False, violates_after=after,
-        )
+        return fake_record(p, after=after)
 
     def test_multiple_flips_raise_with_brackets(self):
         records = [self._record(p, a) for p, a in ((0.1, False), (0.2, True), (0.3, False))]
@@ -460,16 +526,6 @@ class TestFigureData:
             figure_data("fig3")
 
 
-def _openblas_threads() -> list[int]:
-    """Thread count of every loaded OpenBLAS, read through its getter."""
-    counts = []
-    for path, setter in scan_module._blas_pins():
-        getter = getattr(ctypes.CDLL(path), setter.replace("_set_", "_get_"))
-        getter.restype = ctypes.c_int
-        counts.append(getter())
-    return counts
-
-
 @pytest.fixture
 def cores(monkeypatch):
     """Set the usable cores the scan pool sees: cores(n) reports n of them."""
@@ -478,6 +534,79 @@ def cores(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     return use
+
+
+def fake_record(p: float, before: bool = False, after: bool = False) -> PointRecord:
+    return PointRecord(
+        p=p, unfiltered_bound=0.0, unfiltered_attained=0.0, x=1.0, y=1.0, z=1.0,
+        filtered_bound=0.0, filtered_attained=0.0, violates_before=before, violates_after=after,
+    )
+
+
+@pytest.fixture
+def fake_scan(monkeypatch, tmp_path):
+    """Replace _point_record and _violates_at by functions of p alone that log each call.
+
+    ``fake_scan(record, predicate)`` installs ``record(p)`` as the grid task and
+    ``predicate(p, mode)`` as the bisection step (and the threshold_bisect grid
+    task); either may raise. Each call appends one JSON line to a log shared
+    by every process: its kind ("record" or "predicate"), p, mode, pid and,
+    once it has returned, ``"ok": true``. It returns a function reading that
+    log.
+    """
+    log = tmp_path / "tasks.log"
+
+    def append(**entry):
+        with open(log, "a") as fh:
+            fh.write(json.dumps(entry) + "\n")
+
+    def install(record, predicate):
+        def point_record(spec, p):
+            append(kind="record", p=p, pid=os.getpid())
+            out = record(p)
+            append(kind="record", p=p, pid=os.getpid(), ok=True)
+            return out
+
+        def violates_at(spec, p, mode):
+            append(kind="predicate", p=p, mode=mode, pid=os.getpid())
+            out = predicate(p, mode)
+            append(kind="predicate", p=p, mode=mode, pid=os.getpid(), ok=True)
+            return out
+
+        monkeypatch.setattr(scan_module, "_point_record", point_record)
+        monkeypatch.setattr(scan_module, "_violates_at", violates_at)
+        return lambda: [json.loads(line) for line in log.read_text().splitlines()] if log.exists() else []
+
+    return install
+
+
+def plain_bisection(lo: float, hi: float, above) -> tuple[float, list[float]]:
+    """Threshold and midpoints of a serial bisection of ``above`` (False at lo) to BISECT_TOL."""
+    mids = []
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), mids
+
+
+def slow(seconds: float, value):
+    time.sleep(seconds)
+    return value
+
+
+def pinned(value):
+    """``value``, once every OpenBLAS of the calling process is seen to run one thread."""
+    threads = openblas_threads()
+    if set(threads) != {1}:
+        raise AssertionError(f"a scan task ran with OpenBLAS threads {threads}")
+    return value
+
+
+GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no core affinity to report")
@@ -492,25 +621,104 @@ class TestParallelScan:
         assert parallel == serial
         assert parallel.p_violation_filtered is not None and parallel.p_violation_unfiltered is not None
 
-    def test_tasks_run_in_pinned_workers(self, cores):
-        """Two tasks on two cores run in forked workers, each with every OpenBLAS on one thread."""
-        pins = scan_module._blas_pins()
-        assert pins, "no OpenBLAS setter found among the loaded libraries"
+    def test_tasks_run_in_pinned_workers(self, cores, fake_scan):
+        """Grid points and bisection steps on two cores run in forked workers with every OpenBLAS on one thread."""
+        read = fake_scan(lambda p: pinned(fake_record(p, before=p > 0.15)), lambda p, mode: pinned(p > 0.15))
         cores(2)
-        assert os.getpid() not in scan_module._scan_map(os.getpid, [(), ()])
         # Two threads in the parent, inherited by a fork unless the worker pins them.
-        before = _openblas_threads()
-        for path, setter in pins:
-            getattr(ctypes.CDLL(path), setter)(2)
-        try:
-            assert scan_module._scan_map(_openblas_threads, [(), ()]) == [[1] * len(pins)] * 2
-        finally:
-            for (path, setter), count in zip(pins, before):
-                getattr(ctypes.CDLL(path), setter)(count)
+        with openblas_threads_set(2):
+            report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=[0.1, 0.2]))
+        assert report.p_violation_unfiltered == plain_bisection(0.1, 0.2, lambda p: p > 0.15)[0]
+        tasks = read()
+        assert {t["kind"] for t in tasks} == {"record", "predicate"}
+        assert os.getpid() not in {t["pid"] for t in tasks}
+        assert multiprocessing.active_children() == []
 
-    def test_one_core_runs_in_process(self, cores):
+    def test_one_core_runs_in_process(self, cores, fake_scan):
+        read = fake_scan(lambda p: fake_record(p, before=p > 0.15), lambda p, mode: p > 0.15)
         cores(1)
-        assert scan_module._scan_map(os.getpid, [(), ()]) == [os.getpid()] * 2
+        report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
+        assert report.p_violation_unfiltered == plain_bisection(0.1, 0.2, lambda p: p > 0.15)[0]
+        assert {t["pid"] for t in read()} == {os.getpid()}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bisection_overlaps_the_grid(self, cores, fake_scan, workers):
+        """The bisection starts once 0.1 and 0.2 are in, before the last grid point, at a serial bisection's midpoints."""
+        read = fake_scan(lambda p: slow(0.05, fake_record(p, before=p > 0.15)), lambda p, mode: p > 0.15)
+        cores(workers)
+        report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
+        threshold, mids = plain_bisection(0.1, 0.2, lambda p: p > 0.15)
+        assert report.p_violation_unfiltered == threshold and report.p_violation_filtered is None
+        started = [t for t in read() if not t.get("ok")]
+        steps = [t for t in started if t["kind"] == "predicate"]
+        assert [t["p"] for t in steps] == mids and {t["mode"] for t in steps} == {"unfiltered"}
+        assert started.index(steps[0]) < [t["p"] for t in started].index(GRID[-1])
+        assert multiprocessing.active_children() == []
+
+    def test_grid_turning_non_monotone_after_a_chain_started(self, cores, fake_scan):
+        """Both grids change sign twice; the unfiltered one is refused, with every bracket."""
+        before = {0.1: False, 0.2: True, 0.3: True, 0.4: True, 0.5: True, 0.6: False}
+        after = {0.1: False, 0.2: False, 0.3: True, 0.4: False, 0.5: False, 0.6: False}
+        read = fake_scan(
+            lambda p: slow(0.1 if p > 0.3 else 0.0, fake_record(p, before=before[p], after=after[p])),
+            lambda p, mode: p > 0.15,
+        )
+        cores(2)
+        with pytest.raises(NonMonotonePredicateError, match="violates_before") as err:
+            figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=list(before)))
+        assert err.value.brackets == [(0.1, 0.2), (0.5, 0.6)]
+        assert any(t["kind"] == "predicate" for t in read())
+        assert multiprocessing.active_children() == []
+
+    def test_first_failing_grid_point_raises(self, cores, fake_scan):
+        """0.6 fails first, but 0.5 fails too and comes first in p order; a bisection step is in flight."""
+
+        def record(p):
+            if p == 0.5:
+                time.sleep(0.3)
+            if p in (0.5, 0.6):
+                raise ValueError(f"grid point {p}")
+            return fake_record(p, before=p > 0.15)
+
+        read = fake_scan(record, lambda p, mode: slow(0.05, p > 0.15))
+        cores(3)
+        with pytest.raises(ValueError, match="grid point 0.5"):
+            figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
+        tasks = read()
+        started = [t["p"] for t in tasks if t["kind"] == "record"]
+        assert 0.6 in started and 0.7 not in started
+        assert any(t["kind"] == "predicate" for t in tasks)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_step_raises_after_the_grid_checks(self, cores, fake_scan, workers):
+        """A failed bisection step is raised once the grid is in and monotone, and not over a non-monotone grid."""
+
+        def step(p, mode):
+            raise RuntimeError(f"step at {p}")
+
+        read = fake_scan(lambda p: fake_record(p, after=p > 0.15), step)
+        cores(workers)
+        with pytest.raises(RuntimeError, match="step at 0.15"):
+            figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
+        assert sorted(t["p"] for t in read() if t["kind"] == "record" and t.get("ok")) == GRID
+
+        read = fake_scan(lambda p: fake_record(p, after=p in (0.2, 0.3) or p > 0.65), step)
+        with pytest.raises(NonMonotonePredicateError) as err:
+            figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
+        assert err.value.brackets == [(0.1, 0.2), (0.3, 0.4), (0.6, 0.7)]
+        assert multiprocessing.active_children() == []
+
+    def test_threshold_bisect_overlaps_the_grid(self, cores, fake_scan):
+        read = fake_scan(None, lambda p, mode: slow(0.02, p > 0.45))
+        cores(2)
+        threshold = threshold_bisect(ScanSpec(family="chi", p_grid=GRID), "filtered")
+        threshold_ref, mids = plain_bisection(0.4, 0.5, lambda p: p > 0.45)
+        assert threshold == threshold_ref
+        started = [t["p"] for t in read() if not t.get("ok")]
+        assert sorted(started) == sorted(GRID + mids)
+        assert started.index(mids[0]) < started.index(GRID[-1])
+        assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_the_scan(self, cores, monkeypatch):
         cores(2)
