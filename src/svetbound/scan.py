@@ -430,15 +430,13 @@ class ActivationReport:
 
 
 def _certify_at(spec: ScanSpec, rho: np.ndarray, mode: str) -> tuple[BoundReport, FilterParams | None]:
-    """Certified report of ``rho`` as given or under its optimized filter, and that filter."""
+    """Certified report of ``rho`` as given (``mode`` "unfiltered") or under its optimized filter, and that filter."""
     config = OracleConfig(restarts=ORACLE_RESTARTS, seed=spec.seed)
     if mode == "unfiltered":
         return certify_unfiltered(rho, oracle_config=config), None
-    if mode == "filtered":
-        params, _ = optimize_filter(rho)
-        _, report = certify_filtered(rho, params.triple(), oracle_config=config)
-        return report, params
-    raise ValueError(f"unknown mode {mode!r}, expected 'unfiltered' or 'filtered'")
+    params, _ = optimize_filter(rho)
+    _, report = certify_filtered(rho, params.triple(), oracle_config=config)
+    return report, params
 
 
 def _point_record(spec: ScanSpec, p: float) -> PointRecord:
@@ -710,6 +708,8 @@ def threshold_bisect(spec: ScanSpec, mode: str) -> float | None:
     below the sign change are certified. The result does not depend on the
     worker count.
     """
+    if mode not in _VIOLATES:
+        raise ValueError(f"unknown mode {mode!r}, expected 'unfiltered' or 'filtered'")
     _, found = _scan(spec, mode, (mode,))
     return found[mode]
 

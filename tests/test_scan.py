@@ -452,7 +452,9 @@ class TestThresholdBisect:
         assert str(back) == "two crossings"
         assert back.brackets == [(0.1, 0.2), (0.3, 0.4)]
 
-    def test_bad_mode(self):
+    def test_bad_mode(self, monkeypatch):
+        """An unknown mode is refused before a pool starts or a point is certified."""
+        monkeypatch.setattr(scan_module, "_pool", lambda points: pytest.fail("the scan started"))
         spec = ScanSpec(family="chi", p_grid=np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match="mode"):
             threshold_bisect(spec, "sideways")
