@@ -642,6 +642,7 @@ class TestParallelScan:
         report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
         assert report.p_violation_unfiltered == plain_bisection(0.1, 0.2, lambda p: p > 0.15)[0]
         assert {t["pid"] for t in read()} == {os.getpid()}
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bisection_overlaps_the_grid(self, cores, fake_scan, workers):
