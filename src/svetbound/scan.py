@@ -24,8 +24,11 @@ Refining the second-value optima and ranking every candidate by the first
 value keeps the search out of the plateau trap. On that degenerate branch a
 second-value refinement often starts where a leading-value one did and would
 see the same values at every point; it is skipped and the leading run's end
-point reused, which changes no result. Each evaluation calls LAPACK's 3x3
-symmetric eigen-solver directly, under np.linalg.eigvalsh's error state.
+point reused, which changes no result. Each evaluation makes its three BLAS
+products through ndarray.dot and calls LAPACK's 3x3 symmetric eigen-solver
+directly. A search enters np.linalg.eigvalsh's error state once, around all
+its refinements and its candidate ranking, so a failed solve still raises
+LinAlgError and no evaluation pays for the error state itself.
 
 A scan (figure_data, threshold_bisect) certifies its p grid and bisects each
 sign change on one pool of forked workers, one per usable core with BLAS
@@ -39,11 +42,9 @@ so results, and the errors a scan raises, do not depend on the worker count.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
-import operator
 import os
 import re
 from dataclasses import asdict, dataclass, field, fields
@@ -189,35 +190,60 @@ def _eigvalsh_failed(err: str, flag: int) -> None:
     raise LinAlgError("Eigenvalues did not converge")
 
 
+def _eigvalsh_errstate() -> np.errstate:
+    """np.linalg.eigvalsh's error state: a failed solve raises LinAlgError, over/divide/under pass."""
+    return np.errstate(call=_eigvalsh_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """np.linalg.eigvalsh of a real symmetric float64 matrix: the same bits and the same errors.
 
-    The gufunc runs under the wrapper's own error state, so a failed solve
-    raises LinAlgError. The wrapper's array checks and conversions, which
-    change nothing for a float64 matrix, cost more than a 3x3 solve.
+    The gufunc runs under the wrapper's own error state, entered here on each
+    call, so a failed solve raises LinAlgError; ``_singular_pair`` makes the
+    same solve under its caller's. The wrapper's array checks and conversions,
+    which change nothing for a float64 matrix, cost more than a 3x3 solve.
     """
-    with np.errstate(call=_eigvalsh_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+    with _eigvalsh_errstate():
         return _eigvalsh_lo(a, signature="d->d")
 
 
-def _singular_over_n(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[float, float]:
-    """Leading and second normalized singular values at log10 filter strengths."""
-    out = kernel @ 10.0 ** (_EXPONENTS @ log_xyz)
+def _singular_pair(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[float, float]:
+    """_singular_over_n without its error state: the caller holds ``_eigvalsh_errstate()``.
+
+    ndarray.dot makes the same BLAS calls as ``@``, so the same bits, without
+    the matmul ufunc's dispatch.
+    """
+    out = kernel.dot(10.0 ** _EXPONENTS.dot(log_xyz))
     xm = out[:27].reshape(3, 9)
-    w = _eigvalsh(xm @ xm.T)
+    w = _eigvalsh_lo(xm.dot(xm.T), signature="d->d")
     n = float(out[27])
     return math.sqrt(max(w[2], 0.0)) / n, math.sqrt(max(w[1], 0.0)) / n
 
 
+def _singular_over_n(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[float, float]:
+    """Leading and second normalized singular values at log10 filter strengths.
+
+    Enters np.linalg.eigvalsh's error state for this one evaluation, so a
+    failed solve, or an invalid value in the kernel products, raises
+    LinAlgError. optimize_filter enters it once per search and calls
+    ``_singular_pair`` directly.
+    """
+    with _eigvalsh_errstate():
+        return _singular_pair(kernel, log_xyz)
+
+
 def _local_maxima_mask(grid: np.ndarray) -> np.ndarray:
-    """Strict-or-equal 6-neighbor local maxima of a 3d array."""
-    padded = np.pad(grid, 1, constant_values=-np.inf)
-    mask = np.ones(grid.shape, dtype=bool)
-    core = (slice(1, -1),) * 3
+    """Strict-or-equal 6-neighbor local maxima of a 3d array, as if padded with -inf.
+
+    Each axis compares neighboring slices both ways. A NaN point is never a
+    maximum: it fails the comparison with the padding.
+    """
+    mask = grid >= -np.inf
     for axis in range(3):
-        for shift in (-1, 1):
-            neighbor = np.roll(padded, shift, axis=axis)[core]
-            mask &= grid >= neighbor
+        lower = (slice(None),) * axis + (slice(None, -1),)
+        upper = (slice(None),) * axis + (slice(1, None),)
+        mask[lower] &= grid[lower] >= grid[upper]
+        mask[upper] &= grid[upper] >= grid[lower]
     return mask
 
 
@@ -248,18 +274,13 @@ class _EvaluationCap(Exception):
     """Raised in place of an evaluation past REFINE_MAX_EVALS."""
 
 
-# scipy's non-adaptive Nelder-Mead coefficients: reflection, expansion,
-# contraction and shrink.
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-
-
 def _by_value(sim: list, fsim: list) -> tuple[list, list]:
     """Vertices and values in ascending value order, as scipy orders them.
 
-    np.argsort, as scipy uses: its order of tied values (NaN included) differs
-    from sorted()'s.
+    ndarray.argsort, which np.argsort calls for scipy: its order of tied values
+    (NaN included) differs from sorted()'s.
     """
-    order = np.argsort(fsim).tolist()
+    order = np.array(fsim).argsort().tolist()
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
@@ -267,23 +288,18 @@ def minimize(fun, start: np.ndarray) -> OptimizeResult:
     """Minimum of ``fun`` over the filter box by bounded Nelder-Mead from ``_initial_simplex(start)``.
 
     scipy's ``minimize(method="Nelder-Mead")`` with bounds FILTER_LOG_RANGE,
-    REFINE_TOLS and ``maxfev=REFINE_MAX_EVALS``, step for step, on vertices
-    held as Python floats: every trial point is clipped into the box and each
-    coefficient product and sum is written in scipy's order, so the runs match
-    it bit for bit (x, fun, nfev, status). The run stops on scipy's
-    ``xatol``/``fatol`` test or, with status 1, at REFINE_MAX_EVALS
-    evaluations; it never makes more. The function is named ``minimize``
-    because ``bench/spans.py`` wraps that name.
+    REFINE_TOLS and ``maxfev=REFINE_MAX_EVALS``, step for step, on the four
+    vertices of the 3-d simplex held as Python floats: every trial point is
+    clipped into the box and each coefficient product and sum is written in
+    scipy's order, so the runs match it bit for bit (x, fun, nfev, status).
+    The run stops on scipy's ``xatol``/``fatol`` test or, with status 1, at
+    REFINE_MAX_EVALS evaluations; it never makes more. The function is named
+    ``minimize`` because ``bench/spans.py`` wraps that name.
     """
     lo, hi = FILTER_LOG_RANGE
     xatol, fatol = REFINE_TOLS["xatol"], REFINE_TOLS["fatol"]
     maxfev = REFINE_MAX_EVALS
-    n = len(start)
     nfev = 0
-
-    def clip(x):
-        # np.clip: min(max(v, lo), hi), NaN passing through.
-        return [lo if v < lo else hi if v > hi else v for v in x]
 
     def f(x):
         nonlocal nfev
@@ -293,58 +309,66 @@ def minimize(fun, start: np.ndarray) -> OptimizeResult:
         return float(fun(np.array(x)))
 
     sim = _initial_simplex(start).tolist()
-    fsim = [math.inf] * (n + 1)
+    fsim = [math.inf] * 4
     try:
-        for k in range(n + 1):
+        for k in range(4):
             fsim[k] = f(sim[k])
     except _EvaluationCap:
         pass
     # scipy orders the initial simplex twice.
     sim, fsim = _by_value(*_by_value(sim, fsim))
 
+    # scipy's non-adaptive coefficients rho = 1, chi = 2, psi = sigma = 1/2,
+    # folded as its expressions evaluate them: reflection (1 + rho) xbar - rho w
+    # is 2 xbar - w, expansion 3 xbar - 2 w, outside contraction 1.5 xbar - 0.5 w,
+    # inside contraction 0.5 xbar + 0.5 w and shrink s0 + 0.5 (s - s0). Each
+    # trial point is clipped as np.clip does, min(max(v, lo), hi), NaN passing
+    # through.
     while nfev < maxfev:
         try:
-            s0, f0 = sim[0], fsim[0]
-            if all(abs(v - u) <= xatol for s in sim[1:] for v, u in zip(s, s0)) and all(
+            s0, s1, s2, w = sim
+            f0 = fsim[0]
+            if all(abs(v - u) <= xatol for s in (s1, s2, w) for v, u in zip(s, s0)) and all(
                 abs(f0 - fj) <= fatol for fj in fsim[1:]
             ):
                 break
             # ((s0 + s1) + s2) / 3, as np.add.reduce over the rows adds them.
-            xbar = [functools.reduce(operator.add, col) / n for col in zip(*sim[:-1])]
-            w = sim[-1]
-            xr = clip([(1 + _RHO) * c - _RHO * v for c, v in zip(xbar, w)])
+            xbar = [(a + b + c) / 3 for a, b, c in zip(s0, s1, s2)]
+            xr = [2 * c - v for c, v in zip(xbar, w)]
+            xr = [lo if v < lo else hi if v > hi else v for v in xr]
             fxr = f(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = clip([(1 + _RHO * _CHI) * c - _RHO * _CHI * v for c, v in zip(xbar, w)])
+            if fxr < f0:
+                xe = [3 * c - 2 * v for c, v in zip(xbar, w)]
+                xe = [lo if v < lo else hi if v > hi else v for v in xe]
                 fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
-                xc = clip([(1 + _PSI * _RHO) * c - _PSI * _RHO * v for c, v in zip(xbar, w)])
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
+                sim[3], fsim[3] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[2]:
+                sim[3], fsim[3] = xr, fxr
             else:
-                xcc = clip([(1 - _PSI) * c + _PSI * v for c, v in zip(xbar, w)])
-                fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
+                if fxr < fsim[3]:
+                    xc = [1.5 * c - 0.5 * v for c, v in zip(xbar, w)]
+                    xc = [lo if v < lo else hi if v > hi else v for v in xc]
+                    fxc = f(xc)
+                    contract = fxc <= fxr
                 else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = clip([u + _SIGMA * (v - u) for u, v in zip(s0, sim[j])])
-                    fsim[j] = f(sim[j])
+                    xc = [0.5 * c + 0.5 * v for c, v in zip(xbar, w)]
+                    xc = [lo if v < lo else hi if v > hi else v for v in xc]
+                    fxc = f(xc)
+                    contract = fxc < fsim[3]
+                if contract:
+                    sim[3], fsim[3] = xc, fxc
+                else:
+                    for j in (1, 2, 3):
+                        x = [u + 0.5 * (v - u) for u, v in zip(s0, sim[j])]
+                        sim[j] = [lo if v < lo else hi if v > hi else v for v in x]
+                        fsim[j] = f(sim[j])
         except _EvaluationCap:
             pass
         sim, fsim = _by_value(sim, fsim)
 
     status = 1 if nfev >= maxfev else 0
-    return OptimizeResult(x=np.array(sim[0]), fun=min(fsim), nfev=nfev, status=status, success=status == 0)
+    # np.min, as scipy reports fun: NaN when any vertex value is NaN.
+    return OptimizeResult(x=np.array(sim[0]), fun=np.min(fsim), nfev=nfev, status=status, success=status == 0)
 
 
 def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
@@ -357,19 +381,24 @@ def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
     leading value. The kernel's leading value at the winner is cross-checked
     against the filtered state's own correlation matrix: a gap above 1e-9, or
     either value above sqrt(2) + 1e-9, raises ConsistencyError.
+
+    The refinements and the ranking run inside one np.linalg.eigvalsh error
+    state, entered here and left on return or raise: a failed eigen-solve
+    raises LinAlgError, and the caller's error state is untouched.
     """
     logs = np.linspace(*FILTER_LOG_RANGE, ScanSpec.filter_grid_points)
     kernel = _filter_kernel(rho)
     lam1, lam2 = _lambda_grids(kernel, 10.0**logs)
 
+    starts = [(which, start) for which, grid in enumerate((lam1, lam2)) for start in _top_starts(grid, logs, 2)]
     candidates = [np.zeros(3), logs[list(np.unravel_index(np.argmax(lam1), lam1.shape))]]
     # End points of leading-value runs that saw lambda1 == lambda2 at every
     # point they evaluated, by start. Nelder-Mead only compares and subtracts
     # the values of the points it visits, so the second-value run from the same
     # start would retrace that run exactly; its end point is reused instead.
     retraced = {}
-    for grid, which in ((lam1, 0), (lam2, 1)):
-        for start in _top_starts(grid, logs, 2):
+    with _eigvalsh_errstate():
+        for which, start in starts:
             key = start.tobytes()
             if which == 1 and key in retraced:
                 candidates.append(retraced[key])
@@ -378,7 +407,7 @@ def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
 
             def objective(v, which=which):
                 nonlocal tied
-                pair = _singular_over_n(kernel, v)
+                pair = _singular_pair(kernel, v)
                 tied = tied and pair[0] == pair[1]
                 return -pair[which]
 
@@ -387,7 +416,7 @@ def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
             if which == 0 and tied:
                 retraced[key] = res.x
 
-    values = [_singular_over_n(kernel, v)[0] for v in candidates]
+        values = [_singular_pair(kernel, v)[0] for v in candidates]
     best = 10.0 ** candidates[int(np.argmax(values))]
     params = FilterParams(float(best[0]), float(best[1]), float(best[2]))
     fa = filtered_bound(rho, params.triple())

@@ -4,10 +4,14 @@ import multiprocessing
 import os
 import pickle
 import time
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize as scipy_minimize
 
 import svetbound.scan as scan_module
@@ -25,6 +29,7 @@ from svetbound.scan import (
     _filter_kernel,
     _initial_simplex,
     _lambda_grids,
+    _local_maxima_mask,
     _records_sign_change,
     _singular_over_n,
     _top_starts,
@@ -297,6 +302,136 @@ class TestNelderMead:
         assert lean.status == ref.status == 1 and not lean.success
         assert lean.nfev == ref.nfev <= 40
         assert np.array_equal(lean.x, ref.x) and lean.fun == ref.fun
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def plateaus(v) -> float:
+    """Piecewise constant on cells of the box, so whole simplices tie exactly."""
+    return float(np.floor(v[0]) + np.floor(2.0 * v[1]) - np.floor(v[2] / 2.0))
+
+
+def holed_bowl(v) -> float:
+    """A smooth bowl that is NaN on part of the box, its minimum included."""
+    if v[0] + v[1] > 1.0:
+        return math.nan
+    return float((v[0] - 1.0) ** 2 + (v[1] - 0.5) ** 2 + (v[2] + 2.0) ** 2)
+
+
+class TestNelderMeadOrdering:
+    """minimize against scipy where _by_value must order exact ties and NaN as scipy does."""
+
+    # The origin, a start near and one on the upper face, one whose simplex
+    # straddles holed_bowl's NaN edge and one inside its NaN part.
+    STARTS = [
+        np.zeros(3),
+        np.array([0.3, -1.7, 2.95]),
+        np.array([3.0, 3.0, -3.0]),
+        np.array([0.45, 0.5, 0.0]),
+        np.array([0.9, 0.9, 0.0]),
+    ]
+
+    @pytest.fixture
+    def orderings(self, monkeypatch) -> list:
+        """Every value list minimize hands _by_value."""
+        seen = []
+        inner = scan_module._by_value
+
+        def spy(sim, fsim):
+            seen.append(list(fsim))
+            return inner(sim, fsim)
+
+        monkeypatch.setattr(scan_module, "_by_value", spy)
+        return seen
+
+    def assert_matches_scipy(self, objective, start, maxfev=REFINE_MAX_EVALS):
+        ref = scipy_refinement(objective, start, maxfev=maxfev)
+        lean = minimize(objective, start)
+        assert same_bits(lean.x, ref.x) and same_bits(lean.fun, ref.fun)
+        assert (lean.nfev, lean.status, lean.success) == (ref.nfev, ref.status, ref.success)
+        return lean
+
+    def test_exact_ties(self, orderings):
+        for start in self.STARTS:
+            self.assert_matches_scipy(plateaus, start)
+        assert any(len(set(fsim)) < len(fsim) for fsim in orderings)
+
+    def test_nan_on_part_of_the_box(self, orderings):
+        nan_results = 0
+        for start in self.STARTS:
+            nan_results += math.isnan(self.assert_matches_scipy(holed_bowl, start).fun)
+        # Some orderings mix NaN with numbers, and some runs end on a NaN vertex.
+        assert any(0 < sum(map(math.isnan, fsim)) < len(fsim) for fsim in orderings)
+        assert nan_results
+
+    @pytest.mark.parametrize("cap", [4, 25])
+    @pytest.mark.parametrize("objective", [plateaus, holed_bowl, lambda v: math.nan])
+    def test_capped(self, monkeypatch, objective, cap):
+        """Four evaluations leave the initial simplex, with NaN and numbers on the straddling start."""
+        monkeypatch.setattr(scan_module, "REFINE_MAX_EVALS", cap)
+        statuses = [self.assert_matches_scipy(objective, start, maxfev=cap).status for start in self.STARTS]
+        assert 1 in statuses
+
+
+class TestSearchErrorState:
+    """optimize_filter enters np.linalg.eigvalsh's error state once, around the whole search."""
+
+    @pytest.mark.parametrize("failing", [2, 500])
+    def test_failed_solve_inside_a_refinement_raises(self, monkeypatch, failing):
+        """Solve 2 fails in the first refinement, solve 500 in the second (423 + 347 solves)."""
+        solve = scan_module._eigvalsh_lo
+        calls = 0
+
+        def flaky(a, **kw):
+            nonlocal calls
+            calls += 1
+            return solve(np.full_like(a, np.nan) if calls == failing else a, **kw)
+
+        monkeypatch.setattr(scan_module, "_eigvalsh_lo", flaky)
+        before = np.geterr(), np.geterrcall()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                optimize_filter(build_ghz_noise_state(0.5))
+        assert calls == failing
+        assert caught == []
+        assert (np.geterr(), np.geterrcall()) == before
+
+    def test_error_state_restored_after_return(self):
+        before = np.geterr(), np.geterrcall()
+        params, fa = optimize_filter(build_ghz_noise_state(0.5))
+        assert (np.geterr(), np.geterrcall()) == before
+        assert all(map(math.isfinite, (params.x, params.y, params.z, fa.lambda1_prime)))
+
+
+def pad_roll_local_maxima(grid: np.ndarray) -> np.ndarray:
+    """The pad-and-roll form of _local_maxima_mask, kept as its reference."""
+    padded = np.pad(grid, 1, constant_values=-np.inf)
+    mask = np.ones(grid.shape, dtype=bool)
+    core = (slice(1, -1),) * 3
+    for axis in range(3):
+        for shift in (-1, 1):
+            mask &= grid >= np.roll(padded, shift, axis=axis)[core]
+    return mask
+
+
+class TestLocalMaxima:
+    @given(
+        grid=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=4),
+            elements=st.one_of(
+                st.sampled_from([0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+        )
+    )
+    @example(grid=np.full((1, 1, 1), np.nan))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_pad_roll(self, grid):
+        assert np.array_equal(_local_maxima_mask(grid), pad_roll_local_maxima(grid))
 
 
 class TestOptimizeFilter:
