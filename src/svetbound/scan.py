@@ -9,6 +9,9 @@ built once per state; N's coefficients are the state's populations. A
 log-spaced grid of filter strengths reduces to staged monomial contractions
 and the top two eigenvalues of each 3x3 Gram X X^T; one point costs one
 28x27 matrix-vector product and one 3x3 eigen-solve, which gives both values.
+When no two rows of X share a column at any filter, as for the chi and
+GHZ + white noise families, the Gram is diagonal by structure and a point
+costs three row sums of squares and a selection of the top two instead.
 Grid optima seed bounded Nelder-Mead refinements, each run until its own
 stopping tolerances hold, so the result is the supremum over the strength box
 whichever start wins a tie. Each refinement is one direct call of
@@ -165,11 +168,27 @@ def _filter_kernel(rho: np.ndarray) -> np.ndarray:
     return np.vstack([k.reshape(27, 27), n.reshape(1, 27)])
 
 
+def _rows_disjoint(kernel: np.ndarray) -> bool:
+    """Whether no two rows of X share a column at any filter, read off the kernel.
+
+    An entry of X is absent when all 27 of its monomial coefficients are zero;
+    it is then an exact 0.0 at every grid point. A kernel with a non-finite X
+    coefficient never qualifies, so it fails in the eigen-solve with LinAlgError.
+    """
+    coefs = kernel[:27].reshape(3, 9, 27)
+    present = (coefs != 0).any(axis=2)
+    return bool(np.isfinite(coefs).all() and present.sum(axis=0).max() <= 1)
+
+
 def _lambda_grids(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second normalized singular values over the full filter grid.
 
     Staged monomial contractions give X and N at every grid point; the top two
-    eigenvalues of each 3x3 Gram X X^T are the squared singular values.
+    eigenvalues of each 3x3 Gram X X^T are the squared singular values. When
+    X's rows have disjoint supports, every off-diagonal Gram entry is a sum of
+    products with an exact 0.0, so the eigenvalues are the three squared row
+    norms; the top two are selected exactly (max and median), with no Gram
+    product and no eigen-solve. Any other kernel takes the batched eigen-solve.
     """
     g = xs.size
     v = xs[:, None] ** np.arange(3.0)
@@ -177,6 +196,12 @@ def _lambda_grids(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
     t = np.einsum("yb,xbce->xyce", v, t).reshape(g * g, 3, 28)
     t = (v @ t).reshape(g, g, g, 28)
     x_all, n_all = t[..., :27].reshape(g, g, g, 3, 9), t[..., 27]
+    if _rows_disjoint(kernel):
+        r = np.einsum("...ij,...ij->...i", x_all, x_all)
+        a, b, c = r[..., 0], r[..., 1], r[..., 2]
+        high, low = np.maximum(a, b), np.minimum(a, b)
+        median = np.maximum(low, np.minimum(high, c))
+        return np.sqrt(np.maximum(high, c)) / n_all, np.sqrt(median) / n_all
     w = np.linalg.eigvalsh(x_all @ x_all.swapaxes(-1, -2))
     s = np.sqrt(np.clip(w[..., 1:], 0.0, None))
     return s[..., 1] / n_all, s[..., 0] / n_all

@@ -71,8 +71,10 @@ class TestFastPath:
             assert fast == pytest.approx(fa.lambda1_prime, abs=1e-10)
             assert second == pytest.approx(fa.m_prime.svd.singular_values[1], abs=1e-10)
 
-    def test_grid_agrees_with_scalar_eval(self, rng):
-        rho = random_density(rng)
+    @pytest.mark.parametrize("source", ["chi", "ghz-noise", "random"])
+    def test_grid_agrees_with_scalar_eval(self, rng, source):
+        """Both grid routes, row norms for the families and the eigen-solve for a random density."""
+        rho = random_density(rng) if source == "random" else build_family_state(source, 0.5)
         kernel = _filter_kernel(rho)
         logs = np.linspace(-1.0, 1.0, 5)
         lam1, lam2 = _lambda_grids(kernel, 10.0**logs)
@@ -89,6 +91,118 @@ def eigvalsh_singular_over_n(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[f
     w = np.linalg.eigvalsh(xm @ xm.T)
     n = float(out[27])
     return math.sqrt(max(w[2], 0.0)) / n, math.sqrt(max(w[1], 0.0)) / n
+
+
+def grid_grams(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram X X^T and N at every point of the filter grid, by the contraction of _lambda_grids."""
+    g = xs.size
+    v = xs[:, None] ** np.arange(3.0)
+    t = (v @ kernel.T.reshape(3, 9 * 28)).reshape(g, 3, 3, 28)
+    t = np.einsum("yb,xbce->xyce", v, t).reshape(g * g, 3, 28)
+    t = (v @ t).reshape(g, g, g, 28)
+    x_all = t[..., :27].reshape(g, g, g, 3, 9)
+    return x_all @ x_all.swapaxes(-1, -2), t[..., 27]
+
+
+def eigvalsh_lambda_grids(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_lambda_grids by the batched eigen-solve on every kernel: the reference for its row-norm route."""
+    gram, n_all = grid_grams(kernel, xs)
+    s = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., 1:], 0.0, None))
+    return s[..., 1] / n_all, s[..., 0] / n_all
+
+
+def real_x_state(rng: np.random.Generator) -> np.ndarray:
+    """A three-qubit X-state with random populations and four real coherences rho[i, 7 - i]."""
+    pops = rng.uniform(0.05, 1.0, size=8)
+    rho = np.diag(pops)
+    for i in range(4):
+        rho[i, 7 - i] = rho[7 - i, i] = rng.uniform(-1.0, 1.0) * math.sqrt(pops[i] * pops[7 - i])
+    return rho / pops.sum()
+
+
+@pytest.fixture
+def eigen_solves(monkeypatch) -> list:
+    """The shape of every np.linalg.eigvalsh call."""
+    shapes = []
+    inner = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+class TestGridRoutes:
+    """_lambda_grids' row-norm route, taken when X's rows share no column, against the batched eigen-solve."""
+
+    XS = 10.0 ** np.linspace(*FILTER_LOG_RANGE, ScanSpec.filter_grid_points)
+
+    @pytest.mark.parametrize("family", ["chi", "ghz-noise"])
+    def test_families_bit_for_bit(self, eigen_solves, family):
+        """Every p of the 0.05 grid: the same bits, and a Gram that is diagonal to the last bit.
+
+        The bits agree because each family row of X holds one entry, or two of
+        equal magnitude, whose squares sum to the same double in any order,
+        fused or not.
+        """
+        for p in np.round(np.arange(0.0, 1.0001, 0.05), 10):
+            kernel = _filter_kernel(build_family_state(family, p))
+            grids = _lambda_grids(kernel, self.XS)
+            assert eigen_solves == []
+            ref = eigvalsh_lambda_grids(kernel, self.XS)
+            assert all(map(same_bits, grids, ref))
+            gram, _ = grid_grams(kernel, self.XS)
+            assert np.all(gram[..., ~np.eye(3, dtype=bool)] == 0.0)
+            eigen_solves.clear()
+
+    def test_random_density_takes_eigen_solve(self, eigen_solves, rng):
+        kernel = _filter_kernel(random_density(rng))
+        grids = _lambda_grids(kernel, self.XS)
+        assert eigen_solves == [(25, 25, 25, 3, 3)]
+        assert all(map(same_bits, grids, eigvalsh_lambda_grids(kernel, self.XS)))
+
+    def test_shared_column_takes_eigen_solve(self, eigen_solves):
+        """One coefficient puts X[y, 0] next to X[x, 0]: the Gram has off-diagonals, so no row norms."""
+        kernel = _filter_kernel(build_ghz_noise_state(0.5))
+        kernel[9, 13] = 0.1
+        grids = _lambda_grids(kernel, self.XS)
+        assert eigen_solves == [(25, 25, 25, 3, 3)]
+        assert all(map(same_bits, grids, eigvalsh_lambda_grids(kernel, self.XS)))
+        gram, _ = grid_grams(kernel, self.XS)
+        assert np.any(gram[..., 0, 1] != 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_fails_in_the_solve(self, bad):
+        """A non-finite coefficient in a row-disjoint kernel goes to the eigen-solve and fails there."""
+        kernel = _filter_kernel(build_ghz_noise_state(0.5))
+        kernel[0, 13] = bad
+        # inf * 0.0 in the Gram product is an invalid value before the solve fails.
+        with np.errstate(invalid="ignore"):
+            want = outcome(eigvalsh_lambda_grids, kernel, self.XS)
+            assert want[0] is np.linalg.LinAlgError
+            assert outcome(_lambda_grids, kernel, self.XS) == want
+
+    def test_real_x_states_within_rounding(self, eigen_solves):
+        """Real X-states outside the families take the row norms; the bits may differ from LAPACK's, by rounding."""
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            kernel = _filter_kernel(real_x_state(rng))
+            grids = _lambda_grids(kernel, self.XS)
+            assert eigen_solves == []
+            for grid, ref in zip(grids, eigvalsh_lambda_grids(kernel, self.XS)):
+                np.testing.assert_allclose(grid, ref, rtol=1e-15, atol=0.0)
+            eigen_solves.clear()
+
+    def test_real_x_states_same_supremum(self, monkeypatch):
+        """Grid ties may break differently on real X-states, but the search reaches the same value."""
+        rng = np.random.default_rng(12)
+        states = [real_x_state(rng) for _ in range(4)]
+        found = [optimize_filter(rho)[1].lambda1_prime for rho in states]
+        monkeypatch.setattr(scan_module, "_lambda_grids", eigvalsh_lambda_grids)
+        for rho, value in zip(states, found):
+            assert value == pytest.approx(optimize_filter(rho)[1].lambda1_prime, abs=1e-12)
 
 
 def outcome(fn, *args):
