@@ -3,10 +3,12 @@
 A filter triple (F_A, F_B, F_C) of positive semidefinite 2x2 operators maps a
 state rho to rho' = F rho F^dag / N with F = F_A (x) F_B (x) F_C and
 N = tr(F^dag F rho). Written canonically as U diag(s) U^dag, each filter acts
-on the state's Pauli moment tensor q through the 4x4 map L(U diag(s)), and
-q' = (L_A (x) L_B (x) L_C) q gives N = q'[0, 0, 0] and X = q'[1:, 1:, 1:]
-without forming rho'. The dropped U^dag factors only rotate Bloch vectors, so
-M' = O_B X (O_A (x) O_C)^T / N, and M' and X/N share singular values.
+entry-wise on the rotated state: with f = s_A (x) s_B (x) s_C, the matrix
+(f f^T) o U^dag rho U is F rho F^dag up to the rotation U. One table of
+transposed Pauli products, CORRELATION_TABLE, reads X and N off the entries of
+any such matrix, so neither needs rho' itself. The dropped U factors only
+rotate Bloch vectors, so M' = O_B X (O_A (x) O_C)^T / N, and M' and X/N share
+singular values.
 """
 
 from __future__ import annotations
@@ -15,11 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterAnnihilationError
-from .linalg import lorentz_map, pauli_moments, real_expectation, spectral_2x2_psd, tensor
+from .errors import ConsistencyError, FilterAnnihilationError
+from .linalg import _PAULI_PRODUCTS, IMAG_RESIDUE_TOL, real_expectation, spectral_2x2_psd, tensor
 from .svetlichny import CorrelationMatrix, correlation_block, correlation_matrix
 
 ANNIHILATION_TOL = 1e-15
+
+# Rows 0-26: the flattened 3x9 correlation matrix X, in correlation_block's
+# layout; row 27: the trace N. Each row is a Pauli product P transposed and
+# flattened, so row . m.ravel() = tr(m P) for any 8x8 matrix m.
+_LAYOUT = np.append(correlation_block(np.arange(64).reshape(4, 4, 4)).ravel(), 0)
+CORRELATION_TABLE = _PAULI_PRODUCTS[_LAYOUT].transpose(0, 2, 1).reshape(28, 64)
 
 
 @dataclass(frozen=True)
@@ -100,42 +108,43 @@ def apply_filter(rho: np.ndarray, filters: FilterTriple) -> tuple[np.ndarray, fl
     return rho_prime, n
 
 
-def _filtered_moments(rho: np.ndarray, filters: FilterTriple) -> np.ndarray:
-    """Moments of F rho F^dag with every filter in canonical scale.
-
-    Each party's moment index is multiplied by L(U diag(s)), so
-    q' = (L_A (x) L_B (x) L_C) q. Raises ValueError when a canonical map or
-    q' is not finite in double precision.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        maps = lorentz_map(np.stack([u * s for u, s in zip(filters.unitaries, filters.scales)]))
-        q = np.einsum("ia,jb,kc,abc->ijk", *maps, pauli_moments(rho))
-    if not np.isfinite(q).all():
-        raise ValueError("filter strengths overflow the canonical filter maps; use milder filters")
-    return q
+def _rotated(rho: np.ndarray, filters: FilterTriple) -> np.ndarray:
+    """U^dag rho U with U = U_A (x) U_B (x) U_C, the state in the filters' eigenbases."""
+    u = tensor(*filters.unitaries)
+    return u.conj().T @ rho @ u
 
 
 def x_matrix(rho: np.ndarray, filters: FilterTriple) -> np.ndarray:
     """Unnormalized filtered correlation matrix in canonical filter scale.
 
-    Entries are tr(varrho delta_l (x) eta_m (x) gamma_n) at row m and column
-    3l + n, with varrho the unitarily rotated state and delta, eta, gamma the
-    Pauli matrices conjugated by each party's canonical diag(s).
+    Entries are tr(varrho' sigma_l (x) sigma_m (x) sigma_n) at row m and column
+    3l + n, with varrho' = (f f^T) o U^dag rho U and f = s_A (x) s_B (x) s_C.
+    Each entry of the rotated state carries its own product of scales, so an
+    entry that is zero contributes an exact zero. Raises ValueError when the
+    scales overflow double precision, and ConsistencyError when an imaginary
+    residue above 1e-12, relative to the largest squared scale, shows that rho
+    was not Hermitian.
     """
-    return correlation_block(_filtered_moments(rho, filters))
+    f = tensor(*filters.scales)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm = CORRELATION_TABLE[:27] @ (np.outer(f, f) * _rotated(rho, filters)).ravel()
+    if not np.isfinite(xm).all():
+        raise ValueError("filter strengths overflow the canonical filter scales; use milder filters")
+    residue = np.abs(xm.imag).max()
+    if residue > IMAG_RESIDUE_TOL * max(1.0, f.max() ** 2):
+        raise ConsistencyError(f"filtered correlations have imaginary residue {residue:.3e}")
+    return xm.real.reshape(3, 9)
 
 
 def canonical_normalization(rho: np.ndarray, filters: FilterTriple) -> float:
     """tr(F^dag F rho) with every filter in canonical scale. Pairs with x_matrix.
 
-    L(U diag(s)) = L(diag(s)) L(U): the rotation turns rho into U^dag rho U, and
-    row 0 of the diagonal step weighs its populations by s^2 per party, so
-    N = sum_i s_i^2 (U^dag rho U)_ii is a sum of nonnegative terms. The same
-    populations read off the moments carry +-1e-17 of rounding that large
-    strengths amplify past N itself, so they are read off the rotated diagonal.
+    N = sum_i f_i^2 (U^dag rho U)_ii, a sum of nonnegative terms: the
+    populations of the rotated state weighed by the squared scales. Rounding
+    in the rotation can leave a zero population at -1e-17, so the populations
+    are clipped at zero before large strengths can amplify them.
     """
-    u = tensor(*filters.unitaries)
-    populations = np.einsum("ri,rs,si->i", u.conj(), rho, u).real
+    populations = np.diagonal(_rotated(rho, filters)).real
     weights = tensor(*(s * s for s in filters.scales))
     return float(np.clip(populations, 0.0, None) @ weights)
 

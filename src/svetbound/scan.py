@@ -1,14 +1,16 @@
 """Filter optimization, violation thresholds, and activation-curve data.
 
-The filter search works on one per-state polynomial kernel. A filter
-diag(x, 1) acts on the state's Pauli moments through its 4x4 map
-L(diag(x, 1)) = P0 + x P1 + x^2 P2, so the unnormalized filtered correlation
-matrix X and the normalization N of diag(x, 1) (x) diag(y, 1) (x) diag(z, 1)
-are fixed linear maps of the 27 monomials x^a y^b z^c (a, b, c in 0..2),
-built once per state; N's coefficients are the state's populations. A
-log-spaced grid of filter strengths reduces to staged monomial contractions
-and the top two eigenvalues of each 3x3 Gram X X^T; one point costs one
-28x27 matrix-vector product and one 3x3 eigen-solve, which gives both values.
+The filter search works on one per-state polynomial kernel. The filter
+diag(x, 1) (x) diag(y, 1) (x) diag(z, 1) acts entry-wise, and entry (i, j) of
+the state carries the single monomial x^a y^b z^c whose exponents count the
+|0> factors of basis states i and j. So the unnormalized filtered correlation
+matrix X and the normalization N are fixed linear maps of the 27 monomials
+(a, b, c in 0..2), read off the state's entries once per state through
+filtering's table of Pauli products; a monomial the state lacks has exact
+zero coefficients, and N's coefficients are the populations. A log-spaced
+grid of filter strengths reduces to staged monomial contractions and the top
+two eigenvalues of each 3x3 Gram X X^T; one point costs one 28x27
+matrix-vector product and one 3x3 eigen-solve, which gives both values.
 When no two rows of X share a column at any filter, as for the chi and
 GHZ + white noise families, the Gram is diagonal by structure and a point
 costs three row sums of squares and a selection of the top two instead.
@@ -60,8 +62,7 @@ from scipy.optimize import OptimizeResult
 from .analysis import certify_filtered, certify_unfiltered
 from .errors import ConsistencyError, NonMonotonePredicateError
 from .fileio import atomic_write_text, format_value
-from .filtering import FilteredAnalysis, FilterParams, filtered_bound
-from .linalg import lorentz_map, pauli_moments
+from .filtering import CORRELATION_TABLE, FilteredAnalysis, FilterParams, filtered_bound
 from .seesaw import OracleConfig
 from .states import CHI_THETA, build_chi_state, build_ghz_noise_state
 from .svetlichny import BoundReport
@@ -138,34 +139,27 @@ class ScanSpec:
             raise ValueError("p_grid must be a 1-d, finite, strictly increasing grid inside [0, 1]")
 
 
-def _power_maps() -> np.ndarray:
-    """P with L(diag(x, 1)) = P[0] + x P[1] + x^2 P[2] exactly, read off at x = 0, 1, -1."""
-    l0, lp, lm = lorentz_map([np.diag([v, 1.0]) for v in (0.0, 1.0, -1.0)])
-    return np.stack([l0, (lp - lm) / 2.0, (lp + lm) / 2.0 - l0])
-
-
-_POWER_MAPS = _power_maps()
 # Exponents (a, b, c) of the 27 monomials x^a y^b z^c, the x power most significant.
 _EXPONENTS = np.array(np.unravel_index(np.arange(27), (3, 3, 3)), dtype=float).T
+# Incidence from entry (i, j) of an 8x8 matrix, flattened, to the monomial it
+# carries: z_i in {0, 1}^3 marks the |0> factors of basis state i, and the filter
+# diag(x, 1) (x) diag(y, 1) (x) diag(z, 1) scales entry (i, j) by the monomial
+# with exponents z_i + z_j.
+_Z = 1 - np.array(np.unravel_index(np.arange(8), (2, 2, 2))).T
+_ENTRY_MONOMIALS = ((_Z[:, None] + _Z[None, :]).reshape(64, 1, 3) == _EXPONENTS).all(axis=2).astype(float)
 
 
 def _filter_kernel(rho: np.ndarray) -> np.ndarray:
     """Per-state 28x27 map from the filter monomials to X and N.
 
-    Filters diag(x, 1) (x) diag(y, 1) (x) diag(z, 1) act on rho through the
-    monomials (1, x, x^2) (x) (1, y, y^2) (x) (1, z, z^2). Rows 0-26 take them to
-    the flattened 3x9 unnormalized correlation matrix X, row 27 to the
-    normalization N. N's coefficients are the populations rho_ii, so N is a sum
-    of nonnegative terms; they are read off the diagonal, since the moment
-    route leaves zero populations at +-1e-17 for large strengths to amplify.
+    The filter acts entry-wise, rho' = (f f^T) o rho with
+    f = (x, 1) (x) (y, 1) (x) (z, 1), so each entry of rho carries one monomial.
+    Rows 0-26 take the 27 monomials x^a y^b z^c to the flattened 3x9
+    unnormalized correlation matrix X, row 27 to the normalization N. A
+    monomial no entry of rho carries has exact zero coefficients, and N's are
+    the populations rho_ii.
     """
-    q = pauli_moments(rho)
-    rows = _POWER_MAPS[:, 1:]
-    k = np.einsum("Ali,Bmj,Cnk,ijk->mlnABC", rows, rows, rows, q, optimize=True)
-    n = np.zeros((3, 3, 3))
-    # |0> carries the filter factor, so its population goes with the square.
-    n[::-2, ::-2, ::-2] = np.real(np.diagonal(rho)).reshape(2, 2, 2)
-    return np.vstack([k.reshape(27, 27), n.reshape(1, 27)])
+    return (CORRELATION_TABLE * np.asarray(rho).ravel()).real @ _ENTRY_MONOMIALS
 
 
 def _rows_disjoint(kernel: np.ndarray) -> bool:
@@ -218,18 +212,6 @@ def _eigvalsh_failed(err: str, flag: int) -> None:
 def _eigvalsh_errstate() -> np.errstate:
     """np.linalg.eigvalsh's error state: a failed solve raises LinAlgError, over/divide/under pass."""
     return np.errstate(call=_eigvalsh_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh of a real symmetric float64 matrix: the same bits and the same errors.
-
-    The gufunc runs under the wrapper's own error state, entered here on each
-    call, so a failed solve raises LinAlgError; ``_singular_pair`` makes the
-    same solve under its caller's. The wrapper's array checks and conversions,
-    which change nothing for a float64 matrix, cost more than a 3x3 solve.
-    """
-    with _eigvalsh_errstate():
-        return _eigvalsh_lo(a, signature="d->d")
 
 
 def _singular_pair(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[float, float]:

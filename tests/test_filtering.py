@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_psd_2x2
-from svetbound.errors import FilterAnnihilationError
+from svetbound.errors import ConsistencyError, FilterAnnihilationError
 from svetbound.filtering import (
     FilterParams,
     FilterTriple,
@@ -15,10 +15,10 @@ from svetbound.filtering import (
     filtered_bound,
     x_matrix,
 )
-from svetbound.linalg import pauli
+from svetbound.linalg import lorentz_map, pauli, pauli_moments
 from svetbound.scan import optimize_filter
 from svetbound.states import build_chi_state, build_ghz_noise_state, validate_state
-from svetbound.svetlichny import correlation_matrix
+from svetbound.svetlichny import correlation_block, correlation_matrix
 
 SQ2 = math.sqrt(2.0)
 
@@ -176,6 +176,21 @@ class TestCorrelationTransport:
             transported = ob @ (fa.x_matrix / fa.n_factor) @ np.kron(oa, oc).T
             np.testing.assert_allclose(transported, fa.m_prime.matrix, atol=1e-9)
 
+    def test_matches_moment_route(self, rng):
+        """X against the Lorentz-map transport of the Pauli moments, accurate for filters of moderate strength."""
+        for _ in range(100):
+            rho = random_density(rng)
+            ft = FilterTriple.from_operators(*(random_psd_2x2(rng) for _ in range(3)))
+            maps = lorentz_map(np.stack([u * s for u, s in zip(ft.unitaries, ft.scales)]))
+            old = correlation_block(np.einsum("ia,jb,kc,abc->ijk", *maps, pauli_moments(rho)))
+            np.testing.assert_allclose(x_matrix(rho, ft), old, rtol=0.0, atol=1e-12 * np.abs(old).max())
+
+    def test_rejects_non_hermitian_state(self, rng):
+        rho = random_density(rng)
+        rho[0, 7] += 1e-6
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            x_matrix(rho, FilterTriple.diagonal(0.5, 2.0, 1.5))
+
     def test_identity_filter_reduces_to_plain_matrix(self, rng):
         rho = random_density(rng)
         fa = filtered_bound(rho, FilterTriple.identity())
@@ -227,7 +242,10 @@ class TestCanonicalNormalization:
         ft = FilterTriple.diagonal(*xyz)
         rescale = np.prod([min(v, 1.0) ** 2 for v in xyz])
         assert canonical_normalization(rho, ft) * rescale == pytest.approx(n_closed(p, *xyz), rel=1e-9)
-        assert filtered_bound(rho, ft).n_factor * rescale == pytest.approx(apply_filter(rho, ft)[1], rel=1e-9)
+        fa = filtered_bound(rho, ft)
+        assert fa.n_factor * rescale == pytest.approx(apply_filter(rho, ft)[1], rel=1e-9)
+        sx = np.linalg.svd(fa.x_matrix / fa.n_factor, compute_uv=False)
+        np.testing.assert_allclose(sx, fa.m_prime.svd.singular_values, rtol=0.0, atol=1e-9)
 
     def test_pairs_with_x_matrix(self, rng):
         # scaling the filters must not move the ratio singulars(X)/N

@@ -213,8 +213,14 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def direct_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """LAPACK's gufunc under np.linalg.eigvalsh's error state, as _singular_over_n calls it."""
+    with scan_module._eigvalsh_errstate():
+        return scan_module._eigvalsh_lo(a, signature="d->d")
+
+
 class TestEigenSolver:
-    """_eigvalsh and _singular_over_n against np.linalg.eigvalsh, bit for bit and error for error."""
+    """The direct eigen-solve and _singular_over_n against np.linalg.eigvalsh, bit for bit and error for error."""
 
     def test_random_kernels(self, rng):
         for _ in range(20):
@@ -247,7 +253,7 @@ class TestEigenSolver:
         ],
     )
     def test_non_finite_matrix(self, gram):
-        assert outcome(scan_module._eigvalsh, gram) == outcome(np.linalg.eigvalsh, gram)
+        assert outcome(direct_eigvalsh, gram) == outcome(np.linalg.eigvalsh, gram)
 
     @pytest.mark.parametrize("log_xyz", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]])
     def test_non_finite_strengths(self, log_xyz):
@@ -312,6 +318,29 @@ class TestKernelReference:
             first, second = _singular_over_n(kernel, point)
             assert first == pytest.approx(ref1, abs=1e-9)
             assert second == pytest.approx(ref2, abs=1e-9)
+
+    @pytest.mark.parametrize("point", [(-12.0, 6.0, 6.0), (-16.0, 8.0, 8.0)])
+    @pytest.mark.parametrize("which", ["chi", "ghz-noise", "random"])
+    def test_extreme_strengths(self, which, point):
+        """Far outside the box, where the monomials span up to 64 decades, X/N stays accurate and lambda1 <= sqrt(2)."""
+        if which == "random":
+            rho = random_density(np.random.default_rng(7))
+        else:
+            rho = build_family_state(which, 0.5)
+        kernel = _filter_kernel(rho)
+        ref1, ref2 = mp_singular_over_n(rho, 10.0 ** np.array(point))
+        # The grid takes x from its first and y, z from its second strength.
+        lam1, lam2 = _lambda_grids(kernel, 10.0 ** np.array(point[:2]))
+        for first, second in [_singular_over_n(kernel, np.array(point)), (lam1[0, 1, 1], lam2[0, 1, 1])]:
+            assert first == pytest.approx(ref1, abs=1e-9)
+            assert second == pytest.approx(ref2, abs=1e-9)
+            assert first <= SQ2
+
+    @pytest.mark.parametrize("family, p, columns", [("ghz-noise", 0.5, 6), ("chi", 0.2, 4)])
+    def test_absent_monomials_are_exact_zeros(self, family, p, columns):
+        """Only the monomials z_i + z_j of the state's nonzero entries have nonzero coefficients."""
+        kernel = _filter_kernel(build_family_state(family, p))
+        assert np.count_nonzero(kernel.any(axis=0)) == columns
 
 
 def dense_box_supremum(rho: np.ndarray, points: int = 41, starts: int = 20) -> float:
