@@ -294,7 +294,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     # The package's matrices are at most 8x8, so a BLAS thread pool gains
     # nothing and keeps a second core spinning through the tightness search.
-    _pin_blas(_blas_pins() or [])
+    _pin_blas(_blas_pins() or ())
     try:
         return args.func(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:

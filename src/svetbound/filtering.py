@@ -13,6 +13,7 @@ singular values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,8 @@ def apply_filter(rho: np.ndarray, filters: FilterTriple) -> tuple[np.ndarray, fl
     1e-15, since the filtered state is then undefined, and ValueError when
     F^dag F overflows double precision.
     """
-    big = tensor(filters.f_a, filters.f_b, filters.f_c)
     with np.errstate(over="ignore", invalid="ignore"):
+        big = tensor(filters.f_a, filters.f_b, filters.f_c)
         gram = big.conj().T @ big
     if not np.isfinite(gram).all():
         raise ValueError("filter strengths overflow F^dag F; use milder filters")
@@ -125,8 +126,8 @@ def x_matrix(rho: np.ndarray, filters: FilterTriple) -> np.ndarray:
     residue above 1e-12, relative to the largest squared scale, shows that rho
     was not Hermitian.
     """
-    f = tensor(*filters.scales)
     with np.errstate(over="ignore", invalid="ignore"):
+        f = tensor(*filters.scales)
         xm = CORRELATION_TABLE[:27] @ (np.outer(f, f) * _rotated(rho, filters)).ravel()
     if not np.isfinite(xm).all():
         raise ValueError("filter strengths overflow the canonical filter scales; use milder filters")
@@ -142,11 +143,16 @@ def canonical_normalization(rho: np.ndarray, filters: FilterTriple) -> float:
     N = sum_i f_i^2 (U^dag rho U)_ii, a sum of nonnegative terms: the
     populations of the rotated state weighed by the squared scales. Rounding
     in the rotation can leave a zero population at -1e-17, so the populations
-    are clipped at zero before large strengths can amplify them.
+    are clipped at zero before large strengths can amplify them. Raises
+    ValueError when the squared scales overflow double precision.
     """
     populations = np.diagonal(_rotated(rho, filters)).real
-    weights = tensor(*(s * s for s in filters.scales))
-    return float(np.clip(populations, 0.0, None) @ weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = tensor(*(s * s for s in filters.scales))
+        n = float(np.clip(populations, 0.0, None) @ weights)
+    if not math.isfinite(n):
+        raise ValueError("filter strengths overflow the canonical normalization; use milder filters")
+    return n
 
 
 @dataclass

@@ -37,16 +37,18 @@ LinAlgError and no evaluation pays for the error state itself.
 
 A scan (figure_data, threshold_bisect) certifies its p grid and bisects each
 sign change on one pool of forked workers, one per usable core with BLAS
-pinned to one thread, or in-process on one core. Grid points go out in p
-order; a bisection starts as soon as the grid points below its sign change
-are certified, and its steps go before further grid points, so both cores
-stay busy until the last step. Every task is seeded from its arguments alone,
-so results, and the errors a scan raises, do not depend on the worker count.
+pinned to one thread, or in-process on one core (e.g. under taskset -c 0).
+Grid points go out in p order; a bisection starts as soon as the grid points
+below its sign change are certified, and its steps go before further grid
+points, so both cores stay busy until the last step. Every task is seeded
+from its arguments alone, so results, and the errors a scan raises, do not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -512,27 +514,6 @@ def _task(spec: ScanSpec, p: float, mode: str | None):
 _VIOLATES = {"unfiltered": "violates_before", "filtered": "violates_after"}
 
 
-def _sign_change(ps: list[float], flags: list[bool], what: str) -> tuple[float, float, bool] | None:
-    """The one grid interval where ``flags`` change sign, with the flag at its low end.
-
-    None without a change. More than one change raises NonMonotonePredicateError
-    carrying every bracketing interval.
-    """
-    changes = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
-    if not changes:
-        return None
-    if len(changes) > 1:
-        brackets = [(ps[i], ps[i + 1]) for i in changes]
-        raise NonMonotonePredicateError(f"{what} changes sign {len(changes)} times on the grid", brackets)
-    i = changes[0]
-    return ps[i], ps[i + 1], flags[i]
-
-
-def _records_sign_change(records: list[PointRecord], mode: str) -> tuple[float, float, bool] | None:
-    key = _VIOLATES[mode]
-    return _sign_change([r.p for r in records], [getattr(r, key) for r in records], key)
-
-
 @dataclass
 class _Chain:
     """Bisection of one mode's sign change inside [lo, hi] to BISECT_TOL, one midpoint per task.
@@ -546,8 +527,6 @@ class _Chain:
     hi: float
     flag_lo: bool
     running: bool = False
-    # Set when a step fails or the grid shows a second sign change.
-    stopped: bool = False
     error: Exception | None = None
 
     @property
@@ -556,7 +535,7 @@ class _Chain:
 
     @property
     def pending(self) -> bool:
-        return not (self.running or self.stopped) and self.hi - self.lo > BISECT_TOL
+        return not self.running and self.error is None and self.hi - self.lo > BISECT_TOL
 
     def step(self, flag: bool) -> None:
         if flag == self.flag_lo:
@@ -565,11 +544,14 @@ class _Chain:
             self.hi = self.mid
 
 
-def _blas_pins() -> list[tuple[str, str]] | None:
-    """(library path, thread-count setter) of every loaded OpenBLAS.
+@functools.cache
+def _blas_pins() -> tuple[tuple[str, str], ...] | None:
+    """(library path, thread-count setter) of every loaded OpenBLAS, found once per process.
 
     None when the loaded libraries cannot be listed, or when a loaded BLAS
-    (OpenBLAS, MKL or BLIS) has no OpenBLAS setter to pin it with.
+    (OpenBLAS, MKL or BLIS) has no OpenBLAS setter to pin it with. The set is
+    fixed once this module is imported, since importing scipy.optimize loads
+    scipy's OpenBLAS next to numpy's; forked workers inherit the result.
     """
     import ctypes
 
@@ -588,10 +570,10 @@ def _blas_pins() -> list[tuple[str, str]] | None:
         if setter is None:
             return None
         pins.append((path, setter))
-    return pins
+    return tuple(pins)
 
 
-def _pin_blas(pins: list[tuple[str, str]]) -> None:
+def _pin_blas(pins: tuple[tuple[str, str], ...]) -> None:
     """Every OpenBLAS in ``pins`` runs single-threaded; a pool worker's initializer."""
     import ctypes
 
@@ -642,36 +624,40 @@ def _pool(points: int):
     return _InProcess(), 1
 
 
-def _scan(spec: ScanSpec, grid_mode: str | None, modes: tuple[str, ...]) -> tuple[list, dict[str, float | None]]:
+def _scan(spec: ScanSpec, mode: str | None) -> tuple[list, dict[str, float | None]]:
     """Grid results of a scan, and each mode's threshold (None without a sign change on the grid).
 
-    A grid task computes the record at a p point (``grid_mode`` None) or the
-    ``grid_mode`` predicate there. Grid points and bisection steps share one
-    pool (see _pool), with at most one task in flight per worker. Grid points
-    go out in p order, and a pending bisection step goes before the next grid
-    point. A mode's bisection starts as soon as the finished prefix of the
-    grid shows its sign change, on the interval a whole monotone grid would
-    give, so it evaluates the same midpoints.
+    A grid task computes the record at a p point and both modes are bisected,
+    in _VIOLATES order (``mode`` None), or it computes the ``mode`` predicate.
+    Grid points and bisection steps share one pool (see _pool), with at most
+    one task in flight per worker. Grid points go out in p order, and a
+    pending bisection step goes before the next grid point. Each mode records
+    the index of every grid interval where its predicate changes sign, read
+    off the certified prefix of the grid: the first entry starts its
+    bisection there, on the interval a whole monotone grid would give, and a
+    second stops it.
 
     Failures are raised in one order, whatever the worker count: first the
     first grid point to fail, in p order, with nothing new started after a
-    grid point fails; then NonMonotonePredicateError for the first of
-    ``modes`` whose grid changes sign more than once; then the first of
-    ``modes`` whose bisection failed. Every task is seeded from its own
-    arguments, so the results do not depend on where or when it ran, and no
-    worker outlives the call.
+    grid point fails; then NonMonotonePredicateError, with every bracket, for
+    the first mode with more than one sign change; then the first mode whose
+    bisection failed. Every task is seeded from its own arguments, so the
+    results do not depend on where or when it ran, and no worker outlives
+    the call.
     """
     from concurrent.futures import FIRST_COMPLETED, wait
 
+    modes = tuple(_VIOLATES) if mode is None else (mode,)
     ps = [float(p) for p in spec.p_grid]
+    # A slot is filled exactly when its grid point is certified.
     results: list = [None] * len(ps)
-    finished = [False] * len(ps)
     submitted = prefix = 0
     grid_errors: dict[int, Exception] = {}
+    changes: dict[str, list[int]] = {m: [] for m in modes}
     chains: dict[str, _Chain] = {}
 
-    def flag(i: int, mode: str) -> bool:
-        return results[i] if grid_mode else getattr(results[i], _VIOLATES[mode])
+    def flag(i: int, m: str) -> bool:
+        return results[i] if mode else getattr(results[i], _VIOLATES[m])
 
     pool, workers = _pool(len(ps))
     # Future -> (grid index, None) for a grid point, (None, mode) for a bisection step.
@@ -679,12 +665,12 @@ def _scan(spec: ScanSpec, grid_mode: str | None, modes: tuple[str, ...]) -> tupl
     try:
         while True:
             while len(in_flight) < workers and not grid_errors:
-                mode = next((m for m in modes if m in chains and chains[m].pending), None)
-                if mode is not None:
-                    chains[mode].running = True
-                    in_flight[pool.submit(_task, spec, chains[mode].mid, mode)] = (None, mode)
+                m = next((m for m in modes if len(changes[m]) == 1 and chains[m].pending), None)
+                if m is not None:
+                    chains[m].running = True
+                    in_flight[pool.submit(_task, spec, chains[m].mid, m)] = (None, m)
                 elif submitted < len(ps):
-                    in_flight[pool.submit(_task, spec, ps[submitted], grid_mode)] = (submitted, None)
+                    in_flight[pool.submit(_task, spec, ps[submitted], mode)] = (submitted, None)
                     submitted += 1
                 else:
                     break
@@ -692,29 +678,26 @@ def _scan(spec: ScanSpec, grid_mode: str | None, modes: tuple[str, ...]) -> tupl
                 break
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
-                index, mode = in_flight.pop(future)
+                index, m = in_flight.pop(future)
                 error = future.exception()
                 if index is None:
-                    chain = chains[mode]
-                    chain.running = False
+                    chains[m].running = False
                     if error is None:
-                        chain.step(future.result())
+                        chains[m].step(future.result())
                     else:
-                        chain.error, chain.stopped = error, True
+                        chains[m].error = error
                 elif error is None:
-                    results[index], finished[index] = future.result(), True
+                    results[index] = future.result()
                 else:
                     grid_errors[index] = error
             start = prefix
-            while prefix < len(ps) and finished[prefix]:
+            while prefix < len(ps) and results[prefix] is not None:
                 prefix += 1
             for i in range(max(start - 1, 0), prefix - 1):
                 for m in modes:
                     if flag(i, m) != flag(i + 1, m):
-                        if m in chains:
-                            # A second sign change: the grid check below refuses this mode.
-                            chains[m].stopped = True
-                        else:
+                        changes[m].append(i)
+                        if len(changes[m]) == 1:
                             chains[m] = _Chain(ps[i], ps[i + 1], flag(i, m))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -722,10 +705,10 @@ def _scan(spec: ScanSpec, grid_mode: str | None, modes: tuple[str, ...]) -> tupl
     if grid_errors:
         raise grid_errors[min(grid_errors)]
     for m in modes:
-        if grid_mode is None:
-            _records_sign_change(results, m)
-        else:
-            _sign_change(ps, results, "predicate")
+        if len(changes[m]) > 1:
+            what = _VIOLATES[m] if mode is None else "predicate"
+            brackets = [(ps[i], ps[i + 1]) for i in changes[m]]
+            raise NonMonotonePredicateError(f"{what} changes sign {len(brackets)} times on the grid", brackets)
     for m in modes:
         if m in chains and chains[m].error is not None:
             raise chains[m].error
@@ -737,16 +720,12 @@ def threshold_bisect(spec: ScanSpec, mode: str) -> float | None:
 
     The grid predicate must change sign exactly once; multiple changes raise
     NonMonotonePredicateError carrying every bracketing interval, since a
-    bisection there could silently pick an arbitrary crossing. The grid points
-    and the bisection steps share one pool, one worker per usable core with
-    BLAS pinned to one thread (in-process on one core, e.g. under
-    ``taskset -c 0``), and the bisection starts as soon as the grid points
-    below the sign change are certified. The result does not depend on the
-    worker count.
+    bisection there could silently pick an arbitrary crossing. The grid and
+    the bisection run as a scan (see the module docstring).
     """
     if mode not in _VIOLATES:
         raise ValueError(f"unknown mode {mode!r}, expected 'unfiltered' or 'filtered'")
-    _, found = _scan(spec, mode, (mode,))
+    _, found = _scan(spec, mode)
     return found[mode]
 
 
@@ -758,12 +737,8 @@ def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
     boundary. 'fig2' scans the ghz-noise family and pairs the filtered with
     the unfiltered threshold.
 
-    The grid points and both bisections share one pool, one worker per usable
-    core with BLAS pinned to one thread (in-process on one core, e.g. under
-    ``taskset -c 0``). Each bisection starts as soon as the grid points below
-    its sign change are certified. The unfiltered grid is checked before the
-    filtered one. Every point is seeded from ``spec.seed`` alone, so the
-    report does not depend on the worker count.
+    The grid and both bisections run as one scan (see the module docstring);
+    the unfiltered grid is checked before the filtered one.
     """
     if figure not in FIGURE_FAMILY:
         raise ValueError(f"unknown figure {figure!r}, expected 'fig1' or 'fig2'")
@@ -773,7 +748,7 @@ def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
     elif spec.family != family:
         raise ValueError(f"{figure} scans the {family!r} family, spec has {spec.family!r}")
 
-    records, found = _scan(spec, None, ("unfiltered", "filtered"))
+    records, found = _scan(spec, None)
     p_unfiltered, p_filtered = found["unfiltered"], found["filtered"]
 
     annotations: dict = {}

@@ -30,7 +30,7 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(42)
 
 
-def _blas_pins_found() -> list[tuple[str, str]]:
+def _blas_pins_found() -> tuple[tuple[str, str], ...]:
     pins = _blas_pins()
     assert pins, "no OpenBLAS setter found among the loaded libraries"
     return pins

@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
 
 import svetbound.cli as cli_module
+import svetbound.scan as scan_module
 from conftest import openblas_threads, openblas_threads_set
 from svetbound.cli import main
 from svetbound.errors import (
@@ -125,6 +127,36 @@ class TestBoundCommand:
             assert code == 0
             assert set(openblas_threads()) == {1}
 
+    def test_blas_discovered_once(self, capsys, monkeypatch):
+        """A second in-process cli.main reuses the OpenBLAS list instead of rereading /proc/self/maps."""
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(scan_module, "open", spy, raising=False)
+        scan_module._blas_pins.cache_clear()
+        for _ in range(2):
+            assert run(capsys, ["bound", "--family", "ghz-noise", "--p", "0.8"])[0] == 0
+        assert opened == ["/proc/self/maps"]
+
+    @pytest.mark.parametrize("existing", [None, 0o640])
+    def test_json_file_mode(self, capsys, tmp_path, existing):
+        """A new file gets the mode open() would give; an overwritten one keeps its own."""
+        path = tmp_path / "report.json"
+        if existing is not None:
+            path.write_text("{}")
+            path.chmod(existing)
+        umask = os.umask(0o022)
+        try:
+            code, _, _ = run(capsys, ["bound", "--family", "ghz-noise", "--p", "0.8", "--json", str(path)])
+        finally:
+            os.umask(umask)
+        assert code == 0
+        assert stat.S_IMODE(path.stat().st_mode) == (0o644 if existing is None else existing)
+        assert json.loads(path.read_text())["tight"] is True
+
 
 class TestFilterCommand:
     def test_explicit_strengths(self, capsys):
@@ -231,6 +263,7 @@ class TestFilterCommand:
             ("1e-200", "1", "1"),
             ("1e60", "1e60", "1e60"),
             ("1e-100", "1e-100", "1e-100"),
+            ("1e300", "1e300", "1e300"),
         ],
     )
     def test_unusable_strengths_exit_2(self, capsys, strengths):

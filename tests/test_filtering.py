@@ -247,6 +247,13 @@ class TestCanonicalNormalization:
         sx = np.linalg.svd(fa.x_matrix / fa.n_factor, compute_uv=False)
         np.testing.assert_allclose(sx, fa.m_prime.svd.singular_values, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("fn", [apply_filter, x_matrix, canonical_normalization])
+    @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
+    def test_overflowing_strengths_raise(self, fn, build):
+        """Strengths whose products overflow raise ValueError, with no RuntimeWarning on the way (warnings are errors)."""
+        with pytest.raises(ValueError, match="overflow"):
+            fn(build(0.5), FilterTriple.diagonal(1e300, 1e300, 1e300))
+
     def test_pairs_with_x_matrix(self, rng):
         # scaling the filters must not move the ratio singulars(X)/N
         rho = random_density(rng)

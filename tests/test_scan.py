@@ -30,7 +30,6 @@ from svetbound.scan import (
     _initial_simplex,
     _lambda_grids,
     _local_maxima_mask,
-    _records_sign_change,
     _singular_over_n,
     _top_starts,
     build_family_state,
@@ -738,22 +737,6 @@ class TestThresholdBisect:
             threshold_bisect(spec, "sideways")
 
 
-class TestRecordsThreshold:
-    @staticmethod
-    def _record(p, after):
-        return fake_record(p, after=after)
-
-    def test_multiple_flips_raise_with_brackets(self):
-        records = [self._record(p, a) for p, a in ((0.1, False), (0.2, True), (0.3, False))]
-        with pytest.raises(NonMonotonePredicateError) as err:
-            _records_sign_change(records, "filtered")
-        assert err.value.brackets == [(0.1, 0.2), (0.2, 0.3)]
-
-    def test_no_flip_returns_none(self):
-        records = [self._record(p, False) for p in (0.1, 0.2)]
-        assert _records_sign_change(records, "filtered") is None
-
-
 @pytest.fixture(scope="module")
 def fig2_coarse():
     spec = ScanSpec(family="ghz-noise", p_grid=np.round(np.arange(0.0, 1.0001, 0.25), 10))
@@ -796,6 +779,18 @@ class TestFigureData:
         write_csv(fig2_coarse, str(a))
         write_csv(fig2_coarse, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_record_sign_changes(self, fake_scan):
+        """On the record path two filtered flips are refused with both brackets; no flip gives no threshold."""
+        flags = {0.1: False, 0.2: True, 0.3: False}
+        fake_scan(lambda p: fake_record(p, after=flags[p]), lambda p, mode: p > 0.15)
+        with pytest.raises(NonMonotonePredicateError, match="violates_after") as err:
+            figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=list(flags)))
+        assert err.value.brackets == [(0.1, 0.2), (0.2, 0.3)]
+
+        fake_scan(lambda p: fake_record(p), lambda p, mode: pytest.fail("bisected"))
+        report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=[0.1, 0.2]))
+        assert report.p_violation_filtered is None and report.p_violation_unfiltered is None
 
     def test_fig1_spec_mismatch_rejected(self):
         with pytest.raises(ValueError, match="fig1"):
@@ -952,11 +947,18 @@ class TestParallelScan:
         assert multiprocessing.active_children() == []
 
     def test_first_failing_grid_point_raises(self, cores, fake_scan):
-        """0.6 fails first, but 0.5 fails too and comes first in p order; a bisection step is in flight."""
+        """0.6 fails first, but 0.5 fails too and comes first in p order; a bisection step is in flight.
+
+        0.6 fails only once a step has started: a worker slow to return 0.2
+        would otherwise let 0.6 fail before the bisection could start.
+        """
 
         def record(p):
             if p == 0.5:
                 time.sleep(0.3)
+            deadline = time.monotonic() + 10.0
+            while p == 0.6 and time.monotonic() < deadline and not any(t["kind"] == "predicate" for t in read()):
+                time.sleep(0.005)
             if p in (0.5, 0.6):
                 raise ValueError(f"grid point {p}")
             return fake_record(p, before=p > 0.15)
