@@ -737,6 +737,22 @@ class TestThresholdBisect:
             threshold_bisect(spec, "sideways")
 
 
+class TestRecordsThreshold:
+    """The filtered sign change read off the grid records, through figure_data."""
+
+    def test_multiple_flips_raise_with_brackets(self, fake_scan):
+        flags = {0.1: False, 0.2: True, 0.3: False}
+        fake_scan(lambda p: fake_record(p, after=flags[p]), lambda p, mode: p > 0.15)
+        with pytest.raises(NonMonotonePredicateError, match="violates_after") as err:
+            figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=list(flags)))
+        assert err.value.brackets == [(0.1, 0.2), (0.2, 0.3)]
+
+    def test_no_flip_returns_none(self, fake_scan):
+        fake_scan(lambda p: fake_record(p), lambda p, mode: pytest.fail("bisected"))
+        report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=[0.1, 0.2]))
+        assert report.p_violation_filtered is None and report.p_violation_unfiltered is None
+
+
 @pytest.fixture(scope="module")
 def fig2_coarse():
     spec = ScanSpec(family="ghz-noise", p_grid=np.round(np.arange(0.0, 1.0001, 0.25), 10))
@@ -779,18 +795,6 @@ class TestFigureData:
         write_csv(fig2_coarse, str(a))
         write_csv(fig2_coarse, str(b))
         assert a.read_bytes() == b.read_bytes()
-
-    def test_record_sign_changes(self, fake_scan):
-        """On the record path two filtered flips are refused with both brackets; no flip gives no threshold."""
-        flags = {0.1: False, 0.2: True, 0.3: False}
-        fake_scan(lambda p: fake_record(p, after=flags[p]), lambda p, mode: p > 0.15)
-        with pytest.raises(NonMonotonePredicateError, match="violates_after") as err:
-            figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=list(flags)))
-        assert err.value.brackets == [(0.1, 0.2), (0.2, 0.3)]
-
-        fake_scan(lambda p: fake_record(p), lambda p, mode: pytest.fail("bisected"))
-        report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=[0.1, 0.2]))
-        assert report.p_violation_filtered is None and report.p_violation_unfiltered is None
 
     def test_fig1_spec_mismatch_rejected(self):
         with pytest.raises(ValueError, match="fig1"):
