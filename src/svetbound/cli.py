@@ -263,7 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument("-x", type=float, default=None, help="filter strength for party A")
     p_filter.add_argument("-y", type=float, default=None, help="filter strength for party B")
     p_filter.add_argument("-z", type=float, default=None, help="filter strength for party C")
-    p_filter.add_argument("--optimize", action="store_true", help="search for the best strengths")
+    p_filter.add_argument(
+        "--optimize",
+        action="store_true",
+        help="best strengths: within 1e-12 of the exact supremum for X-states, else searched in the 10^-3..10^3 box",
+    )
     p_filter.set_defaults(func=_cmd_filter)
 
     p_oracle = sub.add_parser("oracle", help="see-saw lower bound on the maximal expectation")

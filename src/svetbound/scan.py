@@ -1,19 +1,38 @@
 """Filter optimization, violation thresholds, and activation-curve data.
 
-The filter search works on one per-state polynomial kernel. The filter
-diag(x, 1) (x) diag(y, 1) (x) diag(z, 1) acts entry-wise, and entry (i, j) of
-the state carries the single monomial x^a y^b z^c whose exponents count the
-|0> factors of basis states i and j. So the unnormalized filtered correlation
-matrix X and the normalization N are fixed linear maps of the 27 monomials
-(a, b, c in 0..2), read off the state's entries once per state through
-filtering's table of Pauli products; a monomial the state lacks has exact
-zero coefficients, and N's coefficients are the populations. A log-spaced
-grid of filter strengths reduces to staged monomial contractions and the top
-two eigenvalues of each 3x3 Gram X X^T; one point costs one 28x27
-matrix-vector product and one 3x3 eigen-solve, which gives both values.
-When no two rows of X share a column at any filter, as for the chi and
-GHZ + white noise families, the Gram is diagonal by structure and a point
-costs three row sums of squares and a selection of the top two instead.
+Both routes of optimize_filter work on one per-state polynomial kernel. The
+filter diag(x, 1) (x) diag(y, 1) (x) diag(z, 1) acts entry-wise, and entry
+(i, j) of the state carries the single monomial x^a y^b z^c whose exponents
+count the |0> factors of basis states i and j. So the unnormalized filtered
+correlation matrix X and the normalization N are fixed linear maps of the 27
+monomials (a, b, c in 0..2), read off the state's entries once per state
+through filtering's table of Pauli products; a monomial the state lacks has
+exact zero coefficients, and N's coefficients are the populations.
+
+An X-state, whose entries off the diagonal and the anti-diagonal are all
+exact zeros, gets the exact supremum over diagonal filters; both built-in
+families are X-states. Every coherence rho[k, 7 - k] carries the same
+monomial u = xyz, so X is u C plus the zzz entry, with C the kernel's column
+of that monomial. The zzz entry over N is at most 1 in size and tends to 1 at
+a vertex limit, so sup lambda1' = max(1, sigma1(C) / inf_l g(l)) with
+g(l) = sum_i rho_ii exp(v_i . l), l the ln strengths and v_i = 2 z_i - 1 over
+the populated basis states. The infimum is a geometric program (Boyd, Kim,
+Vandenberghe and Hassibi, Optim. Eng. 8, 67 (2007)), taken on the minimal
+face F of conv{v_i} that holds 0: a direction d with v_i . d = 0 on F and
+v_i . d <= -1 off it sends every term off F to zero, and damped Newton finds
+the window point w that minimizes F's terms. So the supremum is the limit of
+lambda1' along w + t d, on the boundary of the state's SLOCC orbit as in
+Verstraete, Dehaene and De Moor, PRA 68, 012103 (2003). When it is the
+plateau 1, w = 0 and d is the vertex of the largest population. The returned
+filter is a finite one, w + t d at the first t of LADDER_STEPS where the
+kernel's lambda1 is within SUPREMUM_TOL of the supremum.
+
+Any other state takes the box search. A log-spaced grid of filter strengths
+reduces to staged monomial contractions and the top two eigenvalues of each
+3x3 Gram X X^T; one point costs one 28x27 matrix-vector product and one 3x3
+eigen-solve, which gives both values. When no two rows of X share a column
+at any filter, as for real X-states, the Gram is diagonal by structure and a
+point costs three row sums of squares and a selection of the top two instead.
 Grid optima seed bounded Nelder-Mead refinements, each run until its own
 stopping tolerances hold, so the result is the supremum over the strength box
 whichever start wins a tie. Each refinement is one direct call of
@@ -83,6 +102,15 @@ REFINE_STEP = 0.1
 REFINE_TOLS = {"xatol": 1e-8, "fatol": 1e-14}
 REFINE_MAX_EVALS = 5000
 
+# X-state route: how close the kernel's lambda1 at the returned filter must
+# come to the supremum; the t of w + t d tried in order, the last one the cap;
+# and the Newton solve of the window point, which stops once the squared
+# Newton decrement is at most NEWTON_TOL, within NEWTON_MAX_STEPS steps.
+SUPREMUM_TOL = 1e-12
+LADDER_STEPS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+NEWTON_TOL = 1e-20
+NEWTON_MAX_STEPS = 100
+
 # The kernel's leading value must match the filtered state's and respect the
 # physical maximum sqrt(2) of a three-qubit correlation singular value.
 KERNEL_CHECK_TOL = 1e-9
@@ -149,6 +177,15 @@ _EXPONENTS = np.array(np.unravel_index(np.arange(27), (3, 3, 3)), dtype=float).T
 # with exponents z_i + z_j.
 _Z = 1 - np.array(np.unravel_index(np.arange(8), (2, 2, 2))).T
 _ENTRY_MONOMIALS = ((_Z[:, None] + _Z[None, :]).reshape(64, 1, 3) == _EXPONENTS).all(axis=2).astype(float)
+# The monomial xyz, exponents (1, 1, 1), that every coherence rho[k, 7 - k] of an X-state carries.
+_COHERENCE_COLUMN = 13
+# Entries of an X-state that must be exact zeros: all off the diagonal and the anti-diagonal.
+_OFF_X = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
+# v_i = 2 z_i - 1, the exponent of basis state i's population in N / (xyz), and
+# every integer direction in {-2, ..., 2}^3 with its products v_i . d.
+_VERTICES = 2 * _Z - 1
+_DIRECTIONS = np.indices((5, 5, 5)).reshape(3, -1).T - 2
+_VERTEX_DOTS = _VERTICES @ _DIRECTIONS.T
 
 
 def _filter_kernel(rho: np.ndarray) -> np.ndarray:
@@ -222,7 +259,12 @@ def _singular_pair(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[float, floa
     ndarray.dot makes the same BLAS calls as ``@``, so the same bits, without
     the matmul ufunc's dispatch.
     """
-    out = kernel.dot(10.0 ** _EXPONENTS.dot(log_xyz))
+    return _pair_at(kernel, 10.0 ** _EXPONENTS.dot(log_xyz))
+
+
+def _pair_at(kernel: np.ndarray, monomials: np.ndarray) -> tuple[float, float]:
+    """Leading and second singular values of X/N at the 27 monomial values; the caller holds the error state."""
+    out = kernel.dot(monomials)
     xm = out[:27].reshape(3, 9)
     w = _eigvalsh_lo(xm.dot(xm.T), signature="d->d")
     n = float(out[27])
@@ -380,16 +422,153 @@ def minimize(fun, start: np.ndarray) -> OptimizeResult:
     return OptimizeResult(x=np.array(sim[0]), fun=np.min(fsim), nfev=nfev, status=status, success=status == 0)
 
 
+def _face(populated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal face of conv{v_i : populated} that holds 0, and a direction that exposes it.
+
+    The sum s of every direction in {-2, ..., 2}^3 with v_i . d <= 0 on the
+    populated states has v_i . s = 0 exactly on the face: every direction in
+    the sum vanishes on it, and for each of the 255 support patterns some
+    direction in the sum exposes it, as the tests check against an LP.
+    Returns the face as a mask over the 8 basis states, empty when 0 lies
+    outside the hull, and s scaled so that v_i . d <= -1 off the face (zero
+    when every populated state is on it).
+    """
+    dots = _VERTEX_DOTS[populated]
+    s = _DIRECTIONS[(dots <= 0).all(axis=0)].sum(axis=0)
+    along = _VERTICES @ s
+    face = populated & (along == 0)
+    off = along[populated & ~face]
+    return face, s / -off.max() if off.size else np.zeros(3)
+
+
+def _log_partition(log_weights: np.ndarray, vertices: np.ndarray, ell: np.ndarray) -> tuple[float, np.ndarray]:
+    """log sum_i exp(log_weights_i + v_i . ell), and the softmax weights of its terms."""
+    terms = log_weights + vertices @ ell
+    top = terms.max()
+    weights = np.exp(terms - top)
+    total = weights.sum()
+    return top + math.log(total), weights / total
+
+
+def _window_point(log_weights: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimizer on the span of the vertices of phi = _log_partition, and phi there.
+
+    Damped Newton from 0: each step solves the Hessian, the covariance of the
+    vertices under the softmax weights, by least squares, so the iterate stays
+    on the span where phi is strictly convex, and halves until Armijo's
+    condition holds: an undamped step can overshoot far from the minimum.
+    Raises ConsistencyError when NEWTON_MAX_STEPS steps do not converge.
+    """
+    ell = np.zeros(3)
+    phi, weights = _log_partition(log_weights, vertices, ell)
+    for _ in range(NEWTON_MAX_STEPS):
+        grad = weights @ vertices
+        hess = (vertices.T * weights) @ vertices - np.outer(grad, grad)
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        decrement = -grad @ step
+        if decrement <= NEWTON_TOL:
+            return ell, phi
+        # Armijo's test allows phi's rounding, so a last step below it is taken whole.
+        slack = 8.0 * np.finfo(float).eps * (1.0 + abs(phi))
+        scale = 1.0
+        while True:
+            trial, trial_weights = _log_partition(log_weights, vertices, ell + scale * step)
+            if trial <= phi - 0.25 * scale * decrement + slack:
+                break
+            scale *= 0.5
+        ell, phi, weights = ell + scale * step, trial, trial_weights
+    raise ConsistencyError(f"window point: Newton did not converge in {NEWTON_MAX_STEPS} steps")
+
+
+def _x_state_path(rho: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Window point w, direction d and the supremum of lambda1' over diagonal filters of an X-state.
+
+    lambda1' tends to the supremum along ln strengths w + t d as t grows (see
+    the module docstring). None when 0 lies outside the population hull while
+    C is nonzero, which positivity rules out and only rounding can cause.
+    """
+    populations = np.diagonal(rho).real
+    face, d = _face(populations > 0)
+    coherence = kernel[:27, _COHERENCE_COLUMN].reshape(3, 9)
+    sigma1 = float(np.linalg.norm(coherence, 2))
+    if face.any():
+        w, phi = _window_point(np.log(populations[face]), _VERTICES[face])
+        supremum = sigma1 * math.exp(-phi)
+        if supremum > 1.0:
+            return w, d, supremum
+    elif coherence.any():
+        return None
+    # The plateau 1 of the zzz entry, approached at the vertex of the largest population.
+    return np.zeros(3), _VERTICES[int(np.argmax(populations))].astype(float), 1.0
+
+
+def _checked(rho: np.ndarray, params: FilterParams, kernel_value: float) -> tuple[FilterParams, FilteredAnalysis]:
+    """``params`` with the filtered state's analysis, once the kernel's lambda1 matches it.
+
+    A gap above 1e-9, or either value above sqrt(2) + 1e-9, raises ConsistencyError.
+    """
+    fa = filtered_bound(rho, params.triple())
+    gap = abs(kernel_value - fa.lambda1_prime)
+    if gap > KERNEL_CHECK_TOL or max(kernel_value, fa.lambda1_prime) > MAX_LAMBDA1:
+        raise ConsistencyError(
+            f"filter kernel check failed: lambda1 {kernel_value!r} (kernel) vs {fa.lambda1_prime!r}"
+            " (filtered state); they must agree to 1e-9 and stay within sqrt(2) + 1e-9"
+        )
+    return params, fa
+
+
 def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
     """Diagonal filter strengths maximizing the filtered bound for a state.
+
+    An X-state (every entry off the diagonal and the anti-diagonal an exact
+    zero) takes the exact route of the module docstring. The supremum is a
+    limit; the returned filter is the finite one w + t d, in ln strengths, at
+    the first t of LADDER_STEPS where the kernel's lambda1 is within
+    SUPREMUM_TOL of it, and ConsistencyError is raised when no t up to the
+    last one gets there. So the analysis reports that filter's value, not the
+    limit. Any other state, and an X-state whose population hull misses 0
+    while it keeps coherences, takes ``_box_search``.
+
+    On either route the kernel's leading value at the returned filter is
+    cross-checked against the filtered state's own correlation matrix: a gap
+    above 1e-9, or either value above sqrt(2) + 1e-9, raises
+    ConsistencyError. Kernel evaluations run inside np.linalg.eigvalsh's
+    error state, so a failed eigen-solve raises LinAlgError, and the caller's
+    error state is untouched.
+    """
+    rho = np.asarray(rho)
+    if rho[_OFF_X].any():
+        return _box_search(rho)
+    kernel = _filter_kernel(rho)
+    path = _x_state_path(rho, kernel)
+    if path is None:
+        return _box_search(rho)
+    w, d, supremum = path
+    with _eigvalsh_errstate():
+        for t in LADDER_STEPS:
+            ell = w + t * d
+            # X and N are linear in the monomials, so dividing all of them by the largest changes no ratio.
+            monomials = _EXPONENTS.dot(ell)
+            value = _pair_at(kernel, np.exp(monomials - monomials.max()))[0]
+            if abs(value - supremum) <= SUPREMUM_TOL:
+                break
+        else:
+            raise ConsistencyError(
+                f"filter ladder: lambda1 {value!r} at t = {t:g} is still farther than"
+                f" {SUPREMUM_TOL:g} from the supremum {supremum!r}"
+            )
+    x, y, z = np.exp(ell)
+    return _checked(rho, FilterParams(float(x), float(y), float(z)), value)
+
+
+def _box_search(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
+    """Diagonal filter strengths maximizing the filtered bound over the FILTER_LOG_RANGE box.
 
     Grid-seeds bounded Nelder-Mead refinements of both the leading and the
     second normalized singular value, each run to its own stopping tolerance
     (a second-value run that would retrace a leading-value run is skipped),
     then ranks all candidates (grid argmax and identity included) by the
-    leading value. The kernel's leading value at the winner is cross-checked
-    against the filtered state's own correlation matrix: a gap above 1e-9, or
-    either value above sqrt(2) + 1e-9, raises ConsistencyError.
+    leading value, and cross-checks the winner as optimize_filter does.
 
     The refinements and the ranking run inside one np.linalg.eigvalsh error
     state, entered here and left on return or raise: a failed eigen-solve
@@ -427,16 +606,7 @@ def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
 
         values = [_singular_pair(kernel, v)[0] for v in candidates]
     best = 10.0 ** candidates[int(np.argmax(values))]
-    params = FilterParams(float(best[0]), float(best[1]), float(best[2]))
-    fa = filtered_bound(rho, params.triple())
-    kernel_value = max(values)
-    gap = abs(kernel_value - fa.lambda1_prime)
-    if gap > KERNEL_CHECK_TOL or max(kernel_value, fa.lambda1_prime) > MAX_LAMBDA1:
-        raise ConsistencyError(
-            f"filter kernel check failed: lambda1 {kernel_value!r} (kernel) vs {fa.lambda1_prime!r}"
-            " (filtered state); they must agree to 1e-9 and stay within sqrt(2) + 1e-9"
-        )
-    return params, fa
+    return _checked(rho, FilterParams(float(best[0]), float(best[1]), float(best[2])), max(values))
 
 
 @dataclass

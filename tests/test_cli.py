@@ -170,7 +170,17 @@ class TestFilterCommand:
         # p/2 + (1-p)x^2(1 + y^2 + z^2)/4 + (1+p)x^2 y^2 z^2/4 at these strengths
         assert float(fields["n"]) == pytest.approx(3.25, rel=1e-12)
 
-    def test_optimize(self, capsys):
+    def test_optimize(self, capsys, monkeypatch):
+        """The exact supremum 2 / sqrt(3); behind the same command, the box search keeps its frozen value."""
+        code, out, _ = run(
+            capsys, ["filter", "--family", "ghz-noise", "--p", "0.5", "--optimize"]
+        )
+        assert code == 0
+        fields = out_map(out)
+        assert float(fields["lambda1_prime"]) == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
+        assert fields["violates"] == "true"
+
+        monkeypatch.setattr(cli_module, "optimize_filter", scan_module._box_search)
         code, out, _ = run(
             capsys, ["filter", "--family", "ghz-noise", "--p", "0.5", "--optimize"]
         )

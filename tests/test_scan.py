@@ -26,6 +26,7 @@ from svetbound.scan import (
     REFINE_TOLS,
     PointRecord,
     ScanSpec,
+    _box_search,
     _filter_kernel,
     _initial_simplex,
     _lambda_grids,
@@ -40,10 +41,21 @@ from svetbound.scan import (
     write_csv,
     write_json,
 )
-from svetbound.states import build_chi_state, build_ghz_noise_state
+from svetbound.states import CHI_THETA, build_chi_state, build_ghz_noise_state
 from svetbound.svetlichny import correlation_matrix
 
 SQ2 = math.sqrt(2.0)
+
+
+def ghz_supremum(p: float) -> float:
+    """sup lambda1' over diagonal filters on ghz-noise: the face {+-(1, 1, 1)} of its population hull."""
+    return max(1.0, 2.0 * math.sqrt(p / (1.0 + p)))
+
+
+def chi_supremum(p: float, theta: float = CHI_THETA) -> float:
+    """sup lambda1' over diagonal filters on chi, on the same face."""
+    c = math.cos(theta)
+    return max(1.0, 2.0 * c * math.sqrt(p) / math.sqrt(1.0 - p + 2.0 * p * c * c))
 
 
 class TestMoments:
@@ -198,10 +210,10 @@ class TestGridRoutes:
         """Grid ties may break differently on real X-states, but the search reaches the same value."""
         rng = np.random.default_rng(12)
         states = [real_x_state(rng) for _ in range(4)]
-        found = [optimize_filter(rho)[1].lambda1_prime for rho in states]
+        found = [_box_search(rho)[1].lambda1_prime for rho in states]
         monkeypatch.setattr(scan_module, "_lambda_grids", eigvalsh_lambda_grids)
         for rho, value in zip(states, found):
-            assert value == pytest.approx(optimize_filter(rho)[1].lambda1_prime, abs=1e-12)
+            assert value == pytest.approx(_box_search(rho)[1].lambda1_prime, abs=1e-12)
 
 
 def outcome(fn, *args):
@@ -518,11 +530,11 @@ class TestNelderMeadOrdering:
 
 
 class TestSearchErrorState:
-    """optimize_filter enters np.linalg.eigvalsh's error state once, around the whole search."""
+    """Both routes enter np.linalg.eigvalsh's error state once, around all their kernel evaluations."""
 
-    @pytest.mark.parametrize("failing", [2, 500])
-    def test_failed_solve_inside_a_refinement_raises(self, monkeypatch, failing):
-        """Solve 2 fails in the first refinement, solve 500 in the second (423 + 347 solves)."""
+    @staticmethod
+    def assert_failed_solve_raises(monkeypatch, search, failing):
+        """Solve number ``failing`` of ``search`` on ghz-noise p = 0.5 fails: LinAlgError, no warning, state restored."""
         solve = scan_module._eigvalsh_lo
         calls = 0
 
@@ -536,10 +548,19 @@ class TestSearchErrorState:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
-                optimize_filter(build_ghz_noise_state(0.5))
+                search(build_ghz_noise_state(0.5))
         assert calls == failing
         assert caught == []
         assert (np.geterr(), np.geterrcall()) == before
+
+    @pytest.mark.parametrize("failing", [2, 500])
+    def test_failed_solve_inside_a_refinement_raises(self, monkeypatch, failing):
+        """Solve 2 fails in the first refinement, solve 500 in the second (423 + 347 solves)."""
+        self.assert_failed_solve_raises(monkeypatch, _box_search, failing)
+
+    def test_failed_solve_on_the_ladder_raises(self, monkeypatch):
+        """The X-state route's second solve, at t = 1, fails."""
+        self.assert_failed_solve_raises(monkeypatch, optimize_filter, 2)
 
     def test_error_state_restored_after_return(self):
         before = np.geterr(), np.geterrcall()
@@ -578,12 +599,19 @@ class TestLocalMaxima:
 
 class TestOptimizeFilter:
     def test_frozen_ghz_optimum(self):
+        """The exact supremum 2 / sqrt(3), and the box search's frozen value below it."""
         params, fa = optimize_filter(build_ghz_noise_state(0.5))
+        assert fa.lambda1_prime == pytest.approx(ghz_supremum(0.5), abs=1e-12)
+        assert fa.bound > 4.0
+        params, fa = _box_search(build_ghz_noise_state(0.5))
         assert fa.lambda1_prime == pytest.approx(1.1542290377905464, abs=1e-9)
         assert fa.bound > 4.0
 
     def test_frozen_chi_optimum(self):
         params, fa = optimize_filter(build_chi_state(0.5))
+        assert fa.lambda1_prime == pytest.approx(chi_supremum(0.5), abs=1e-12)
+        assert fa.bound > 4.0
+        params, fa = _box_search(build_chi_state(0.5))
         assert fa.lambda1_prime == pytest.approx(1.123033129109576, abs=1e-9)
         assert fa.bound > 4.0
 
@@ -591,7 +619,7 @@ class TestOptimizeFilter:
     @pytest.mark.parametrize("p", [0.37, 0.5, 0.9])
     def test_reaches_box_supremum(self, family, p):
         rho = build_family_state(family, p)
-        _, fa = optimize_filter(rho)
+        _, fa = _box_search(rho)
         assert fa.lambda1_prime == pytest.approx(dense_box_supremum(rho), abs=1e-9)
 
     def test_refinements_stop_on_tolerance(self, refinements):
@@ -603,7 +631,7 @@ class TestOptimizeFilter:
         """
         for build in (build_chi_state, build_ghz_noise_state):
             for p in (0.0, 0.37, 0.5, 0.9):
-                optimize_filter(build(p))
+                _box_search(build(p))
         assert len(refinements) == 24
         for _, res in refinements:
             assert res.success and res.status == 0
@@ -612,7 +640,7 @@ class TestOptimizeFilter:
     def test_skipped_refinement_is_exact(self, refinements):
         """On ghz-noise p = 0.5 both second-value runs are skipped; run, they end where the reused runs do."""
         rho = build_ghz_noise_state(0.5)
-        optimize_filter(rho)
+        _box_search(rho)
         kernel, starts = grid_starts(rho)
         leading = [start for which, start in starts if which == 0]
         second = [start for which, start in starts if which == 1]
@@ -640,7 +668,7 @@ class TestOptimizeFilter:
                 return list(leading)
 
             monkeypatch.setattr(scan_module, "_top_starts", same_starts)
-        optimize_filter(build_ghz_noise_state(0.2))
+        _box_search(build_ghz_noise_state(0.2))
         assert len(refinements) == 4
         starts = [start.tobytes() for start, _ in refinements]
         assert (starts[:2] == starts[2:]) == shared_starts
@@ -697,6 +725,133 @@ class TestOptimizeFilter:
             _, fa = optimize_filter(build(0.0))
             assert fa.lambda1_prime < 1.0
             assert fa.bound < 4.0
+
+
+def x_state(pops, ratios, phases) -> np.ndarray:
+    """The X-state with populations ``pops`` and coherences rho[k, 7 - k] = r_k sqrt(p_k p_{7-k}) e^{i phi_k}.
+
+    Each 2x2 block on (k, 7 - k) is PSD for r_k in [0, 1]; the trace is normalized to 1.
+    """
+    pops = np.asarray(pops, dtype=float)
+    rho = np.diag(pops).astype(complex)
+    for k in range(4):
+        rho[k, 7 - k] = ratios[k] * math.sqrt(pops[k] * pops[7 - k]) * np.exp(1j * phases[k])
+        rho[7 - k, k] = np.conj(rho[k, 7 - k])
+    return rho / pops.sum()
+
+
+def x_state_supremum(rho: np.ndarray) -> float:
+    w, d, supremum = scan_module._x_state_path(rho, _filter_kernel(rho))
+    return supremum
+
+
+def linprog_face(populated: np.ndarray) -> np.ndarray:
+    """The minimal face of conv{v_i : populated} holding 0, one LP per state; empty when 0 is outside.
+
+    State i is on that face exactly when some convex combination of the
+    populated vertices with weight on i is 0.
+    """
+    from scipy.optimize import linprog
+
+    index = np.flatnonzero(populated)
+    vertices = scan_module._VERTICES[index].T
+    a_eq = np.vstack([vertices, np.ones(index.size)])
+    b_eq = np.append(np.zeros(3), 1.0)
+    face = np.zeros(8, dtype=bool)
+    for j, i in enumerate(index):
+        res = linprog(-np.eye(index.size)[j], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        face[i] = res.status == 0 and -res.fun > 1e-9
+    return face
+
+
+class TestXStateRoute:
+    """optimize_filter's exact route on X-states."""
+
+    GHZ_GRID = (0.0, 0.1, 0.3, 1 / 3 - 1e-4, 1 / 3 + 1e-4, 0.4, 0.5, 0.75, 0.9, 0.99, 1.0)
+    CHI_THRESHOLD = 1 / (2 + math.cos(2 * CHI_THETA))
+    CHI_GRID = (0.0, 0.2, 0.35, CHI_THRESHOLD - 1e-4, CHI_THRESHOLD + 1e-4, 0.5, 0.75, 0.9, 0.99, 1.0)
+
+    @pytest.mark.parametrize(
+        "family, grid, closed_form",
+        [("ghz-noise", GHZ_GRID, ghz_supremum), ("chi", CHI_GRID, chi_supremum)],
+    )
+    def test_closed_forms(self, refinements, family, grid, closed_form):
+        """Both families reach their closed forms, on both sides of each threshold, with no box search."""
+        for p in grid:
+            rho = build_family_state(family, p)
+            _, fa = optimize_filter(rho)
+            assert fa.lambda1_prime == pytest.approx(closed_form(p), abs=1e-12), p
+            assert x_state_supremum(rho) == pytest.approx(closed_form(p), abs=1e-12), p
+            assert (fa.lambda1_prime > 1.0) == (closed_form(p) > 1.0)
+        assert refinements == []
+
+    def test_face_matches_linprog(self):
+        """All 255 nonempty support patterns: the same face, and d exposes it with v_i . d <= -1 off it."""
+        for bits in range(1, 256):
+            populated = np.array([(bits >> i) & 1 for i in range(8)], dtype=bool)
+            face, d = scan_module._face(populated)
+            assert np.array_equal(face, linprog_face(populated)), bits
+            along = scan_module._VERTICES @ d
+            assert np.all(along[face] == 0.0)
+            off = along[populated & ~face]
+            if off.size:
+                assert off.max() == -1.0 and np.all(off <= -1.0)
+            else:
+                assert np.all(d == 0.0)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            build_ghz_noise_state(0.5),
+            build_chi_state(0.5),
+            build_ghz_noise_state(0.2),
+            x_state([0.3, 0.1, 0.0, 0.2, 0.05, 0.0, 0.15, 0.2], [0.9, 0.0, 0.5, 1.0], [0.3, 0.0, -2.0, 1.1]),
+            x_state([0.1, 0.2, 0.3, 0.4, 0.05, 0.1, 0.2, 0.3], [1.0, 0.8, 0.6, 0.4], [0.0, 1.0, 2.0, 3.0]),
+        ],
+        ids=["ghz-noise-0.5", "chi-0.5", "ghz-noise-0.2", "sparse-complex", "full-complex"],
+    )
+    def test_filter_matches_mpmath(self, rho):
+        """lambda1' at the returned, possibly extreme, filter against 40-digit arithmetic."""
+        params, fa = optimize_filter(rho)
+        ref, _ = mp_singular_over_n(rho, (params.x, params.y, params.z))
+        assert fa.lambda1_prime == pytest.approx(ref, abs=1e-12)
+        assert ref == pytest.approx(x_state_supremum(rho), abs=1e-12)
+
+    @given(
+        pops=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.02, 1.0)), min_size=8, max_size=8
+        ).filter(lambda pops: sum(pops) > 0.0),
+        ratios=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        phases=st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_box_search_never_exceeds_supremum(self, pops, ratios, phases):
+        rho = x_state(pops, ratios, phases)
+        supremum = x_state_supremum(rho)
+        _, box = _box_search(rho)
+        assert box.lambda1_prime <= supremum + 1e-12
+        _, fa = optimize_filter(rho)
+        assert fa.lambda1_prime == pytest.approx(supremum, abs=1e-12)
+
+    def test_off_x_entry_takes_the_box(self, refinements):
+        rho = build_ghz_noise_state(0.5)
+        rho[0, 1] = rho[1, 0] = 1e-3
+        params, fa = optimize_filter(rho)
+        assert refinements
+        box_params, box = _box_search(rho)
+        assert (params, fa.lambda1_prime) == (box_params, box.lambda1_prime)
+
+    def test_plateau_takes_the_largest_population(self):
+        """Below the threshold the supremum is 1, approached at the vertex of the largest population."""
+        rho = build_chi_state(0.3)
+        w, d, supremum = scan_module._x_state_path(rho, _filter_kernel(rho))
+        assert supremum == 1.0
+        assert np.array_equal(w, np.zeros(3)) and np.array_equal(d, np.ones(3))
+
+    def test_ladder_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(scan_module, "LADDER_STEPS", (0.0, 1.0))
+        with pytest.raises(ConsistencyError, match="filter ladder"):
+            optimize_filter(build_ghz_noise_state(0.5))
 
 
 class TestThresholdBisect:
