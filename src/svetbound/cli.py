@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     # The package's matrices are at most 8x8, so a BLAS thread pool gains
-    # nothing and keeps a second core spinning through the tightness search.
+    # nothing; its idle threads would only spin on the other cores.
     _pin_blas(_blas_pins() or ())
     try:
         return args.func(args)

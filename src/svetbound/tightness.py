@@ -1,16 +1,35 @@
-"""Search for settings that attain the singular-value bound exactly.
+"""Certify that outer settings attain the singular-value bound exactly.
 
 The bilinear form reaches 4 * lambda_1 if and only if the two orthogonal
 combinations t1 = a (x) c - a' (x) c' and t2 = a (x) c' + a' (x) c both lie in
 the leading right-singular subspace of the correlation matrix. Since
 |t1|^2 + |t2|^2 = 4 for any unit settings, that containment is equivalent to
-|B t1|^2 + |B t2|^2 = 4 for an orthonormal basis B of the subspace, so the
-search minimizes the deficit 4 - |B t1|^2 - |B t2|^2 over the four outer
-Bloch vectors, parametrized by spherical angles, with an analytic gradient.
+|B t1|^2 + |B t2|^2 = 4 for an orthonormal basis B of the subspace; the
+residual sqrt(4 - |B t1|^2 - |B t2|^2) decides ``found`` on every route.
+
+As 3x3 matrices, T1 + i T2 = (a + i a')(c + i c')^T is rank one. Conversely,
+any nonzero rank-one complex matrix alpha gamma^T in the complexified
+subspace gives settings: a phase e^{i phi} with e^{2 i phi} (alpha . alpha)
+purely imaginary (the unconjugated product) makes the real and imaginary
+parts of e^{i phi} alpha equal in norm, and normalized they are a and a'; c
+and c' come from gamma the same way. T1 + i T2 is then a complex multiple of
+alpha gamma^T, so t1 and t2 lie in the subspace.
+
+So the first route is exact. With leading right vectors V1 and V2 as 3x3
+matrices, the nine 2x2 minors of s V1 + t V2 are binary quadratics in (s, t),
+and the rank-one members of the pencil are their common roots. Each common
+root is a root of the dominant right-singular vector of the 9x3 coefficient
+matrix, so its two roots, t = 0 and s = 0 included, are the candidates. A
+threefold leading value tries the pencil of its first two basis vectors,
+which certifies the zero matrix at once. Whatever the pencil does not
+certify falls back to a seeded multistart L-BFGS on the residual over the
+four outer Bloch vectors, parametrized by spherical angles, with an analytic
+gradient; that search also gives an unattainable subspace its residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +42,12 @@ from .svetlichny import CorrelationMatrix, MeasurementSettings
 RESIDUAL_TOL = 1e-6
 _RESTARTS = 64
 _LBFGS_OPTIONS = {"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14}
+
+# Flat indices of the four corners of the nine 2x2 minors of a row-major 3x3
+# matrix, each corner a (row pair, column pair) grid: upper left, upper right,
+# lower left, lower right. The pairs are (0, 1), (0, 2) and (1, 2).
+_PAIR_ENDS = (np.array([0, 0, 1]), np.array([1, 2, 2]))
+_MINOR_CORNERS = np.array([3 * rows[:, None] + cols for rows in _PAIR_ENDS for cols in _PAIR_ENDS])
 
 
 def _units_from_angles(ang: np.ndarray) -> np.ndarray:
@@ -64,11 +89,11 @@ def _objective_and_grad(ang: np.ndarray, basis: np.ndarray) -> tuple[float, np.n
 
 @dataclass
 class DecompositionResult:
-    """Outcome of the tightness search.
+    """Outcome of the tightness check.
 
-    ``found`` means the best residual is at most 1e-6, in which case the
+    ``found`` means the residual is at most RESIDUAL_TOL, in which case the
     vectors realize the decomposition; otherwise they are the best candidates
-    seen.
+    the L-BFGS fallback saw.
     """
 
     found: bool
@@ -79,20 +104,85 @@ class DecompositionResult:
     residual: float
 
 
-def check_tightness(svd: SVDResult, *, seed: int = 42) -> DecompositionResult:
-    """Look for outer settings whose pair (t1, t2) spans the leading subspace.
+def _residual(basis: np.ndarray, a, ap, c, cp) -> float:
+    """sqrt(4 - |B t1|^2 - |B t2|^2), clipped at zero, for unit outer settings."""
+    outer = np.multiply.outer
+    bt1 = basis @ (outer(a, c) - outer(ap, cp)).ravel()
+    bt2 = basis @ (outer(a, cp) + outer(ap, c)).ravel()
+    return math.sqrt(max(4.0 - bt1 @ bt1 - bt2 @ bt2, 0.0))
 
-    Runs up to 64 seeded quasi-Newton descents and stops at the first whose
-    residual is at most RESIDUAL_TOL. With the leading singular value
-    nondegenerate no two orthogonal vectors fit, so the search is skipped and
-    the result reports found=False.
+
+def _pencil_quadratic(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Coefficients (q0, q1, q2) of the dominant quadratic among the minors of s V1 + t V2.
+
+    A minor is q0 s^2 + q1 s t + q2 t^2. Every common root of the nine is a
+    root of the top right-singular vector of their 9x3 coefficient matrix,
+    which lies in its row space.
     """
-    if svd.degeneracy() < 2:
-        return DecompositionResult(
-            found=False, a=None, a_prime=None, c=None, c_prime=None,
-            residual=float("inf"),
-        )
-    basis = svd.leading_right_basis()
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = v1[_MINOR_CORNERS], v2[_MINOR_CORNERS]
+    coefficients = np.stack(
+        [a1 * d1 - b1 * c1, a1 * d2 + a2 * d1 - b1 * c2 - b2 * c1, a2 * d2 - b2 * c2], axis=-1
+    ).reshape(9, 3)
+    return np.linalg.svd(coefficients)[2][0]
+
+
+def _pencil_roots(q: np.ndarray) -> list[tuple[complex, complex]]:
+    """Both roots (s, t) of q0 s^2 + q1 s t + q2 t^2, each with max(|s|, |t|) = 1.
+
+    The ratio solved for is the one whose leading coefficient is the larger
+    end, so a vanishing end coefficient gives the root s = 0 or t = 0 itself.
+    """
+    q0, q1, q2 = (float(x) for x in q)
+    swap = abs(q0) > abs(q2)
+    lead, tail = (q0, q2) if swap else (q2, q0)
+    if lead == 0.0:
+        # Then tail = 0 too, and q1 s t vanishes at t = 0 and at s = 0.
+        return [(1.0, 0.0), (0.0, 1.0)]
+    disc = q1 * q1 - 4.0 * lead * tail
+    if disc < 0.0:
+        root = complex(-q1, math.sqrt(-disc)) / (2.0 * lead)
+        ratios = [root, root.conjugate()]
+    else:
+        k = -0.5 * (q1 + math.copysign(math.sqrt(disc), q1))
+        ratios = [k / lead, tail / k if k else 0.0]
+    roots = []
+    for x in ratios:
+        pair = (1.0, x) if abs(x) <= 1.0 else (1.0 / x, 1.0)
+        roots.append(pair[::-1] if swap else pair)
+    return roots
+
+
+def _balanced_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit real vectors (x, x') with v a complex multiple of x + i x'.
+
+    The phase makes e^{2i phi} (v . v) purely imaginary, so the real and
+    imaginary parts of e^{i phi} v have equal norm, each |v| / sqrt(2).
+    """
+    w = v * np.exp(0.5j * (0.5 * np.pi - np.angle(v @ v)))
+    return w.real / np.linalg.norm(w.real), w.imag / np.linalg.norm(w.imag)
+
+
+def _pencil_search(basis: np.ndarray) -> DecompositionResult | None:
+    """Settings from a rank-one member of the pencil of the first two basis vectors.
+
+    Returns the first candidate whose residual on the full basis is at most
+    RESIDUAL_TOL, or None.
+    """
+    v1, v2 = basis[0], basis[1]
+    for s, t in _pencil_roots(_pencil_quadratic(v1, v2)):
+        u, _, vh = np.linalg.svd((s * v1 + t * v2).reshape(3, 3))
+        a, ap = _balanced_pair(u[:, 0])
+        c, cp = _balanced_pair(vh[0])
+        residual = _residual(basis, a, ap, c, cp)
+        if residual <= RESIDUAL_TOL:
+            return DecompositionResult(
+                found=True, a=a, a_prime=ap, c=c, c_prime=cp, residual=residual,
+            )
+    return None
+
+
+def _lbfgs_search(basis: np.ndarray, seed: int) -> DecompositionResult:
+    """Up to 64 seeded quasi-Newton descents, stopping at the first whose residual is at most RESIDUAL_TOL."""
     rng = np.random.default_rng(seed)
     best_f, best_ang, residual = float("inf"), None, float("inf")
     for _ in range(_RESTARTS):
@@ -119,6 +209,27 @@ def check_tightness(svd: SVDResult, *, seed: int = 42) -> DecompositionResult:
         a=a, a_prime=ap, c=c, c_prime=cp,
         residual=residual,
     )
+
+
+def check_tightness(svd: SVDResult, *, seed: int = 42) -> DecompositionResult:
+    """Look for outer settings whose pair (t1, t2) spans the leading subspace.
+
+    First the exact route: a rank-one member of the complexified pencil of
+    the first two leading right vectors, certified by its residual on the
+    whole leading basis. What that does not certify goes to up to 64 seeded
+    L-BFGS descents, which stop at the first whose residual is at most
+    RESIDUAL_TOL. With the leading singular value nondegenerate no two
+    orthogonal vectors fit, so nothing runs and the result reports
+    found=False.
+    """
+    if svd.degeneracy() < 2:
+        return DecompositionResult(
+            found=False, a=None, a_prime=None, c=None, c_prime=None,
+            residual=float("inf"),
+        )
+    basis = svd.leading_right_basis()
+    decomposition = _pencil_search(basis)
+    return decomposition if decomposition is not None else _lbfgs_search(basis, seed)
 
 
 def assemble_settings(

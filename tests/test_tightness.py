@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 import svetbound.tightness as tightness
 from conftest import random_density, random_su2
 from svetbound.filtering import FilterTriple, filtered_bound
-from svetbound.linalg import svd_3x9, tensor
+from svetbound.linalg import SVDResult, svd_3x9, tensor
 from svetbound.scan import optimize_filter
 from svetbound.states import build_chi_state, build_ghz_noise_state
-from svetbound.svetlichny import correlation_matrix, svetlichny_value
+from svetbound.svetlichny import CorrelationMatrix, correlation_matrix, svetlichny_value
 from svetbound.tightness import RESIDUAL_TOL, assemble_settings, check_tightness
 
 
@@ -25,13 +28,48 @@ def unattainable_matrix() -> np.ndarray:
     return np.outer([1.0, 0.0, 0.0], v1) + np.outer([0.0, 1.0, 0.0], v2)
 
 
+def leading_corr(rows: np.ndarray) -> CorrelationMatrix:
+    """M = rows stacked over zero rows, with an SVD whose leading right basis is exactly ``rows``.
+
+    A computed SVD would choose its own basis of a degenerate subspace; this
+    one keeps the given rows in their order.
+    """
+    k = len(rows)
+    svd = SVDResult(
+        singular_values=np.r_[np.ones(k), np.zeros(3 - k)],
+        left_vectors=np.eye(3),
+        right_vectors=np.hstack([rows.T, null_space(rows)]),
+    )
+    return CorrelationMatrix(matrix=np.vstack([rows, np.zeros((3 - k, 9))]), svd=svd)
+
+
+def settings_pair(a, ap, c, cp) -> np.ndarray:
+    """The rows t1 = a (x) c - a' (x) c' and t2 = a (x) c' + a' (x) c."""
+    return np.stack([np.kron(a, c) - np.kron(ap, cp), np.kron(a, cp) + np.kron(ap, c)])
+
+
+def planted_rows(rng: np.random.Generator) -> np.ndarray:
+    """An orthonormal basis of the (t1, t2) plane of random unit settings, turned by a random angle in the plane."""
+    units = rng.normal(size=(4, 3))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    plane = np.linalg.qr(settings_pair(*units).T)[0].T
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    turn = np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
+    return turn @ plane
+
+
+def assert_attains_bound(dec, corr: CorrelationMatrix) -> None:
+    _, value = assemble_settings(dec, corr)
+    assert value == pytest.approx(4.0 * corr.svd.singular_values[0], abs=1e-9)
+
+
 def residual_of(fun: float) -> float:
     return float(np.sqrt(max(fun, 0.0)))
 
 
 @pytest.fixture
 def lbfgs_runs(monkeypatch):
-    """Final objective values of every L-BFGS run that check_tightness makes."""
+    """Final objective values of every L-BFGS run made during the test."""
     funs = []
     inner = tightness.minimize
 
@@ -191,12 +229,21 @@ class TestStopRule:
     @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_stops_at_first_certifying_run(self, lbfgs_runs, build, p):
-        dec = check_tightness(correlation_matrix(build(p)).svd)
+        basis = correlation_matrix(build(p)).svd.leading_right_basis()
+        dec = tightness._lbfgs_search(basis, 42)
         residuals = [residual_of(f) for f in lbfgs_runs]
         assert dec.found
         assert residuals[-1] <= RESIDUAL_TOL
         assert all(r > RESIDUAL_TOL for r in residuals[:-1])
         assert dec.residual == residuals[-1]
+
+    @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_pencil_certifies_without_lbfgs(self, lbfgs_runs, build, p):
+        dec = check_tightness(correlation_matrix(build(p)).svd)
+        assert dec.found
+        assert dec.residual <= RESIDUAL_TOL
+        assert lbfgs_runs == []
 
     @pytest.mark.parametrize(
         "make_svd",
@@ -216,3 +263,73 @@ class TestStopRule:
     def test_found_matches_exhaustive_search(self, make_svd):
         svd = make_svd()
         assert check_tightness(svd).found == exhaustive_found(svd)
+
+
+class TestPencilRoute:
+    """A rank-one member of the complexified pencil certifies without any L-BFGS run."""
+
+    def test_planted_planes(self, lbfgs_runs, rng):
+        for _ in range(200):
+            corr = leading_corr(planted_rows(rng))
+            dec = check_tightness(corr.svd)
+            assert dec.found
+            assert dec.residual <= RESIDUAL_TOL
+            assert_attains_bound(dec, corr)
+        assert lbfgs_runs == []
+
+    @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
+    @pytest.mark.parametrize("p", [0.3, 0.6, 0.9])
+    def test_rotated_family_states(self, lbfgs_runs, rng, build, p):
+        rho = build(p)
+        for _ in range(4):
+            u = tensor(random_su2(rng), random_su2(rng), random_su2(rng))
+            corr = correlation_matrix(u @ rho @ u.conj().T)
+            assert corr.svd.degeneracy() == 2
+            dec = check_tightness(corr.svd)
+            assert dec.found
+            assert_attains_bound(dec, corr)
+        assert lbfgs_runs == []
+
+    def test_zero_matrix_through_the_sub_pencil(self, lbfgs_runs):
+        """M = 0 has a threefold leading value; the pencil of its first two basis vectors certifies."""
+        corr = correlation_matrix(np.eye(8) / 8.0)
+        assert corr.svd.degeneracy() == 3
+        dec = check_tightness(corr.svd)
+        assert dec.found
+        assert dec.residual == 0.0
+        assert_attains_bound(dec, corr)
+        assert lbfgs_runs == []
+
+    def test_root_at_infinity(self, lbfgs_runs):
+        """In the pencil of I/sqrt(3) and E01 only s = 0, V2 itself, is rank one."""
+        e01 = np.zeros((3, 3))
+        e01[0, 1] = 1.0
+        corr = leading_corr(np.stack([np.eye(3).ravel() / np.sqrt(3.0), e01.ravel()]))
+        dec = check_tightness(corr.svd)
+        assert dec.found
+        # a = a' = +-e0 and c = c' = +-e1: t1 = 0 and t2 = +-2 E01.
+        for vec, axis in ((dec.a, 0), (dec.a_prime, 0), (dec.c, 1), (dec.c_prime, 1)):
+            np.testing.assert_allclose(np.abs(vec), np.eye(3)[axis], atol=1e-12)
+        assert_attains_bound(dec, corr)
+        assert lbfgs_runs == []
+
+    def test_both_ends_of_the_pencil(self, lbfgs_runs):
+        """The minors of s E00 + t E11 reduce to s t, whose roots are V1 and V2 themselves."""
+        e00, e11 = np.eye(9)[0], np.eye(9)[4]
+        assert tightness._pencil_roots(tightness._pencil_quadratic(e00, e11)) == [(1.0, 0.0), (0.0, 1.0)]
+        corr = leading_corr(np.stack([e00, e11]))
+        dec = check_tightness(corr.svd)
+        assert dec.found
+        assert_attains_bound(dec, corr)
+        assert lbfgs_runs == []
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), planted=st.booleans())
+    def test_found_matches_exhaustive_search(self, seed, planted):
+        rng = np.random.default_rng(seed)
+        rows = planted_rows(rng) if planted else np.linalg.qr(rng.normal(size=(9, 2)))[0].T
+        corr = leading_corr(rows)
+        dec = check_tightness(corr.svd)
+        assert dec.found == exhaustive_found(corr.svd)
+        if dec.found:
+            assert_attains_bound(dec, corr)
