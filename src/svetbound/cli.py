@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
+import os
+import re
 import sys
 
 import numpy as np
@@ -29,8 +32,6 @@ from .scan import (
     FAMILIES,
     FIGURE_FAMILY,
     ScanSpec,
-    _blas_pins,
-    _pin_blas,
     build_family_state,
     figure_data,
     optimize_filter,
@@ -61,6 +62,56 @@ _EXIT_CODES = (
 
 # Grid steps finer than the bisection tolerance 1e-4 resolve nothing more.
 MAX_P_GRID_POINTS = 10_001
+
+# Threaded BLAS libraries cli.main pins, by file name, and the OpenBLAS entry
+# points that set its thread count: numpy's wheels export the first, scipy's
+# the second.
+_BLAS_LIBRARY = re.compile(r"^lib(?:\w*openblas|mkl|blis)")
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+@functools.cache
+def _blas_pins() -> tuple[tuple[str, str], ...] | None:
+    """(library path, thread-count setter) of every loaded OpenBLAS, found once per process.
+
+    None when the loaded libraries cannot be listed, or when a loaded BLAS
+    (OpenBLAS, MKL or BLIS) has no OpenBLAS setter to pin it with. The set is
+    fixed once this module is imported, since importing the scan module loads
+    scipy's OpenBLAS next to numpy's.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh) if len(parts) == 6}
+    except OSError:
+        return None
+    pins = []
+    for path in sorted(p for p in paths if _BLAS_LIBRARY.search(os.path.basename(p))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            return None
+        setter = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        if setter is None:
+            return None
+        pins.append((path, setter))
+    return tuple(pins)
+
+
+def _pin_blas(pins: tuple[tuple[str, str], ...]) -> None:
+    """Every OpenBLAS in ``pins`` runs single-threaded."""
+    import ctypes
+
+    for path, setter in pins:
+        fn = getattr(ctypes.CDLL(path), setter)
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+        fn(1)
 
 
 def _emit(report: dict, json_path: str | None) -> None:

@@ -54,25 +54,19 @@ directly. A search enters np.linalg.eigvalsh's error state once, around all
 its refinements and its candidate ranking, so a failed solve still raises
 LinAlgError and no evaluation pays for the error state itself.
 
-A scan (figure_data, threshold_bisect) certifies its p grid and bisects each
-sign change on one pool of forked workers, one per usable core with BLAS
-pinned to one thread, or in-process on one core (e.g. under taskset -c 0).
-Grid points go out in p order; a bisection starts as soon as the grid points
-below its sign change are certified, and its steps go before further grid
-points, so both cores stay busy until the last step. Every task is seeded
-from its arguments alone, so results, and the errors a scan raises, do not
-depend on the worker count.
+A scan (figure_data, threshold_bisect) runs in the calling process. It
+certifies its p grid in p order, refuses a grid whose predicate changes sign
+more than once, and then bisects each remaining sign change, one mode after
+the other. Every point is seeded from its arguments alone, so the results,
+and the error a scan raises, do not depend on the number of cores.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
-import os
-import re
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
@@ -118,17 +112,6 @@ MAX_LAMBDA1 = math.sqrt(2.0) + KERNEL_CHECK_TOL
 
 # See-saw restarts per certification in a scan.
 ORACLE_RESTARTS = 8
-
-# Threaded BLAS libraries a pool worker must pin, by file name, and the
-# OpenBLAS entry points that set its thread count: numpy's wheels export the
-# first, scipy's the second.
-_BLAS_LIBRARY = re.compile(r"^lib(?:\w*openblas|mkl|blis)")
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
 
 # Known boundary of the bilocal-model region for the chi family, quoted from
 # tabulated two-qubit results. Used only to annotate the activation window;
@@ -671,218 +654,56 @@ def _violates_at(spec: ScanSpec, p: float, mode: str) -> bool:
     return report.violates
 
 
-def _task(spec: ScanSpec, p: float, mode: str | None):
-    """One scan task: the record at ``p`` (``mode`` None) or the ``mode`` predicate there.
-
-    A pool sends it to a worker by name, so the worker calls _point_record and
-    _violates_at from its own copy of this module.
-    """
-    return _point_record(spec, p) if mode is None else _violates_at(spec, p, mode)
-
-
 # The record field that holds each mode's predicate value.
 _VIOLATES = {"unfiltered": "violates_before", "filtered": "violates_after"}
-
-
-@dataclass
-class _Chain:
-    """Bisection of one mode's sign change inside [lo, hi] to BISECT_TOL, one midpoint per task.
-
-    A midpoint whose predicate value equals ``flag_lo``, the value at ``lo``,
-    becomes the new ``lo``; any other becomes ``hi``. The threshold is the
-    last midpoint, 0.5 * (lo + hi) once hi - lo <= BISECT_TOL.
-    """
-
-    lo: float
-    hi: float
-    flag_lo: bool
-    running: bool = False
-    error: Exception | None = None
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def pending(self) -> bool:
-        return not self.running and self.error is None and self.hi - self.lo > BISECT_TOL
-
-    def step(self, flag: bool) -> None:
-        if flag == self.flag_lo:
-            self.lo = self.mid
-        else:
-            self.hi = self.mid
-
-
-@functools.cache
-def _blas_pins() -> tuple[tuple[str, str], ...] | None:
-    """(library path, thread-count setter) of every loaded OpenBLAS, found once per process.
-
-    None when the loaded libraries cannot be listed, or when a loaded BLAS
-    (OpenBLAS, MKL or BLIS) has no OpenBLAS setter to pin it with. The set is
-    fixed once this module is imported, since importing scipy.optimize loads
-    scipy's OpenBLAS next to numpy's; forked workers inherit the result.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh) if len(parts) == 6}
-    except OSError:
-        return None
-    pins = []
-    for path in sorted(p for p in paths if _BLAS_LIBRARY.search(os.path.basename(p))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            return None
-        setter = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
-        if setter is None:
-            return None
-        pins.append((path, setter))
-    return tuple(pins)
-
-
-def _pin_blas(pins: tuple[tuple[str, str], ...]) -> None:
-    """Every OpenBLAS in ``pins`` runs single-threaded; a pool worker's initializer."""
-    import ctypes
-
-    for path, setter in pins:
-        fn = getattr(ctypes.CDLL(path), setter)
-        fn.argtypes, fn.restype = [ctypes.c_int], None
-        fn(1)
-
-
-class _InProcess:
-    """A scan pool's ``submit`` and ``shutdown`` in the calling process: each task runs when submitted."""
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        pass
-
-
-def _pool(points: int):
-    """The pool a scan of ``points`` grid points runs on, and its worker count.
-
-    A fork pool has one worker per usable core, capped at the number of grid
-    points. Its workers inherit the imported package, and each pins every
-    loaded OpenBLAS to one thread before its first task: a multi-threaded BLAS
-    in every worker would only contend for the same cores. The scan runs
-    in-process with one usable core or one grid point, without fork, or when
-    a loaded BLAS cannot be pinned.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cores, points)
-    if workers > 1:
-        import multiprocessing
-
-        pins = _blas_pins() if "fork" in multiprocessing.get_all_start_methods() else None
-        if pins is not None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = multiprocessing.get_context("fork")
-            return ProcessPoolExecutor(workers, mp_context=context, initializer=_pin_blas, initargs=(pins,)), workers
-    return _InProcess(), 1
 
 
 def _scan(spec: ScanSpec, mode: str | None) -> tuple[list, dict[str, float | None]]:
     """Grid results of a scan, and each mode's threshold (None without a sign change on the grid).
 
-    A grid task computes the record at a p point and both modes are bisected,
-    in _VIOLATES order (``mode`` None), or it computes the ``mode`` predicate.
-    Grid points and bisection steps share one pool (see _pool), with at most
-    one task in flight per worker. Grid points go out in p order, and a
-    pending bisection step goes before the next grid point. Each mode records
-    the index of every grid interval where its predicate changes sign, read
-    off the certified prefix of the grid: the first entry starts its
-    bisection there, on the interval a whole monotone grid would give, and a
-    second stops it.
-
-    Failures are raised in one order, whatever the worker count: first the
-    first grid point to fail, in p order, with nothing new started after a
-    grid point fails; then NonMonotonePredicateError, with every bracket, for
-    the first mode with more than one sign change; then the first mode whose
-    bisection failed. Every task is seeded from its own arguments, so the
-    results do not depend on where or when it ran, and no worker outlives
-    the call.
+    With ``mode`` None the grid holds the record at each p point and both
+    modes are bisected, in _VIOLATES order; otherwise it holds the ``mode``
+    predicate. The grid is certified in p order, so the first grid point to
+    fail raises and no later one is started. A mode whose predicate changes
+    sign more than once on the grid raises NonMonotonePredicateError with
+    every bracket, the first such mode in _VIOLATES order, before any
+    bisection step runs. Each remaining sign change is then bisected to
+    BISECT_TOL: a midpoint whose predicate equals the value at the lower end
+    becomes the new lower end, any other the upper end, and the threshold is
+    the midpoint 0.5 * (lo + hi) once hi - lo <= BISECT_TOL. A failed step
+    raises at once. Every point is seeded from ``spec`` alone.
     """
-    from concurrent.futures import FIRST_COMPLETED, wait
-
     modes = tuple(_VIOLATES) if mode is None else (mode,)
     ps = [float(p) for p in spec.p_grid]
-    # A slot is filled exactly when its grid point is certified.
-    results: list = [None] * len(ps)
-    submitted = prefix = 0
-    grid_errors: dict[int, Exception] = {}
-    changes: dict[str, list[int]] = {m: [] for m in modes}
-    chains: dict[str, _Chain] = {}
+    if mode is None:
+        results = [_point_record(spec, p) for p in ps]
+        flags = {m: [getattr(r, _VIOLATES[m]) for r in results] for m in modes}
+    else:
+        results = [_violates_at(spec, p, mode) for p in ps]
+        flags = {mode: results}
 
-    def flag(i: int, m: str) -> bool:
-        return results[i] if mode else getattr(results[i], _VIOLATES[m])
-
-    pool, workers = _pool(len(ps))
-    # Future -> (grid index, None) for a grid point, (None, mode) for a bisection step.
-    in_flight: dict = {}
-    try:
-        while True:
-            while len(in_flight) < workers and not grid_errors:
-                m = next((m for m in modes if len(changes[m]) == 1 and chains[m].pending), None)
-                if m is not None:
-                    chains[m].running = True
-                    in_flight[pool.submit(_task, spec, chains[m].mid, m)] = (None, m)
-                elif submitted < len(ps):
-                    in_flight[pool.submit(_task, spec, ps[submitted], mode)] = (submitted, None)
-                    submitted += 1
-                else:
-                    break
-            if not in_flight:
-                break
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                index, m = in_flight.pop(future)
-                error = future.exception()
-                if index is None:
-                    chains[m].running = False
-                    if error is None:
-                        chains[m].step(future.result())
-                    else:
-                        chains[m].error = error
-                elif error is None:
-                    results[index] = future.result()
-                else:
-                    grid_errors[index] = error
-            start = prefix
-            while prefix < len(ps) and results[prefix] is not None:
-                prefix += 1
-            for i in range(max(start - 1, 0), prefix - 1):
-                for m in modes:
-                    if flag(i, m) != flag(i + 1, m):
-                        changes[m].append(i)
-                        if len(changes[m]) == 1:
-                            chains[m] = _Chain(ps[i], ps[i + 1], flag(i, m))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-    if grid_errors:
-        raise grid_errors[min(grid_errors)]
+    changes = {m: [i for i in range(len(ps) - 1) if flags[m][i] != flags[m][i + 1]] for m in modes}
     for m in modes:
         if len(changes[m]) > 1:
             what = _VIOLATES[m] if mode is None else "predicate"
             brackets = [(ps[i], ps[i + 1]) for i in changes[m]]
             raise NonMonotonePredicateError(f"{what} changes sign {len(brackets)} times on the grid", brackets)
+
+    found: dict[str, float | None] = {}
     for m in modes:
-        if m in chains and chains[m].error is not None:
-            raise chains[m].error
-    return results, {m: chains[m].mid if m in chains else None for m in modes}
+        if not changes[m]:
+            found[m] = None
+            continue
+        i = changes[m][0]
+        lo, hi, flag_lo = ps[i], ps[i + 1], flags[m][i]
+        while hi - lo > BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            if _violates_at(spec, mid, m) == flag_lo:
+                lo = mid
+            else:
+                hi = mid
+        found[m] = 0.5 * (lo + hi)
+    return results, found
 
 
 def threshold_bisect(spec: ScanSpec, mode: str) -> float | None:

@@ -4,7 +4,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from svetbound.scan import _blas_pins
+from svetbound.cli import _blas_pins
 
 
 def random_density(rng: np.random.Generator, dim: int = 8) -> np.ndarray:

@@ -135,8 +135,8 @@ class TestBoundCommand:
             opened.append(path)
             return open(path, *args, **kwargs)
 
-        monkeypatch.setattr(scan_module, "open", spy, raising=False)
-        scan_module._blas_pins.cache_clear()
+        monkeypatch.setattr(cli_module, "open", spy, raising=False)
+        cli_module._blas_pins.cache_clear()
         for _ in range(2):
             assert run(capsys, ["bound", "--family", "ghz-noise", "--p", "0.8"])[0] == 0
         assert opened == ["/proc/self/maps"]
@@ -237,8 +237,8 @@ class TestFilterCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: filter kernel check failed")
 
-    def test_kernel_cross_check_in_scan_worker_exit_6(self, capsys, monkeypatch):
-        """Raised in a pool worker, the failed cross-check is still one error line and exit 6."""
+    def test_kernel_cross_check_in_scan_exit_6(self, capsys, monkeypatch):
+        """Raised inside a scan, the failed cross-check is still one error line and exit 6."""
         import svetbound.scan as scan_module
 
         inner = scan_module.filtered_bound
@@ -249,8 +249,6 @@ class TestFilterCommand:
             return fa
 
         monkeypatch.setattr(scan_module, "filtered_bound", shifted)
-        # Two usable cores, so the two grid points go to two workers.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         code, out, err = run(capsys, ["scan", "--figure", "fig2", "--p-grid", "0.9:1:0.1"])
         assert code == 6
         assert out == ""

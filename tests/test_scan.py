@@ -3,7 +3,6 @@ import math
 import multiprocessing
 import os
 import pickle
-import time
 import warnings
 
 import mpmath
@@ -15,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize as scipy_minimize
 
 import svetbound.scan as scan_module
-from conftest import openblas_threads, openblas_threads_set, random_density
+from conftest import random_density
 from svetbound.errors import ConsistencyError, NonMonotonePredicateError
 from svetbound.filtering import FilterTriple, filtered_bound
 from svetbound.linalg import _PAULI_PRODUCTS, pauli_moments
@@ -868,7 +867,6 @@ class TestThresholdBisect:
     def test_non_monotone_grid_refused(self, monkeypatch):
         import svetbound.scan as scan_module
 
-        # A pure function of p: grid points may be certified in forked workers.
         flags = {0.1: False, 0.2: True, 0.3: False, 0.4: True}
         monkeypatch.setattr(scan_module, "_violates_at", lambda spec, p, mode: flags[p])
         spec = ScanSpec(family="chi", p_grid=np.array([0.1, 0.2, 0.3, 0.4]))
@@ -885,8 +883,9 @@ class TestThresholdBisect:
         assert back.brackets == [(0.1, 0.2), (0.3, 0.4)]
 
     def test_bad_mode(self, monkeypatch):
-        """An unknown mode is refused before a pool starts or a point is certified."""
-        monkeypatch.setattr(scan_module, "_pool", lambda points: pytest.fail("the scan started"))
+        """An unknown mode is refused before a point is certified."""
+        monkeypatch.setattr(scan_module, "_violates_at", lambda spec, p, mode: pytest.fail("the scan started"))
+        monkeypatch.setattr(scan_module, "_point_record", lambda spec, p: pytest.fail("the scan started"))
         spec = ScanSpec(family="chi", p_grid=np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match="mode"):
             threshold_bisect(spec, "sideways")
@@ -960,16 +959,6 @@ class TestFigureData:
             figure_data("fig3")
 
 
-@pytest.fixture
-def cores(monkeypatch):
-    """Set the usable cores the scan pool sees: cores(n) reports n of them."""
-
-    def use(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    return use
-
-
 def fake_record(p: float, before: bool = False, after: bool = False) -> PointRecord:
     return PointRecord(
         p=p, unfiltered_bound=0.0, unfiltered_attained=0.0, x=1.0, y=1.0, z=1.0,
@@ -978,38 +967,34 @@ def fake_record(p: float, before: bool = False, after: bool = False) -> PointRec
 
 
 @pytest.fixture
-def fake_scan(monkeypatch, tmp_path):
+def fake_scan(monkeypatch):
     """Replace _point_record and _violates_at by functions of p alone that log each call.
 
     ``fake_scan(record, predicate)`` installs ``record(p)`` as the grid task and
     ``predicate(p, mode)`` as the bisection step (and the threshold_bisect grid
-    task); either may raise. Each call appends one JSON line to a log shared
-    by every process: its kind ("record" or "predicate"), p, mode, pid and,
-    once it has returned, ``"ok": true``. It returns a function reading that
-    log.
+    task); either may raise. Each call appends one entry to a list: its kind
+    ("record" or "predicate"), p, mode and, once it has returned, ``"ok": True``.
+    It returns that list.
     """
-    log = tmp_path / "tasks.log"
-
-    def append(**entry):
-        with open(log, "a") as fh:
-            fh.write(json.dumps(entry) + "\n")
 
     def install(record, predicate):
+        log = []
+
         def point_record(spec, p):
-            append(kind="record", p=p, pid=os.getpid())
+            log.append(dict(kind="record", p=p))
             out = record(p)
-            append(kind="record", p=p, pid=os.getpid(), ok=True)
+            log.append(dict(kind="record", p=p, ok=True))
             return out
 
         def violates_at(spec, p, mode):
-            append(kind="predicate", p=p, mode=mode, pid=os.getpid())
+            log.append(dict(kind="predicate", p=p, mode=mode))
             out = predicate(p, mode)
-            append(kind="predicate", p=p, mode=mode, pid=os.getpid(), ok=True)
+            log.append(dict(kind="predicate", p=p, mode=mode, ok=True))
             return out
 
         monkeypatch.setattr(scan_module, "_point_record", point_record)
         monkeypatch.setattr(scan_module, "_violates_at", violates_at)
-        return lambda: [json.loads(line) for line in log.read_text().splitlines()] if log.exists() else []
+        return log
 
     return install
 
@@ -1027,145 +1012,101 @@ def plain_bisection(lo: float, hi: float, above) -> tuple[float, list[float]]:
     return 0.5 * (lo + hi), mids
 
 
-def slow(seconds: float, value):
-    time.sleep(seconds)
-    return value
-
-
-def pinned(value):
-    """``value``, once every OpenBLAS of the calling process is seen to run one thread."""
-    threads = openblas_threads()
-    if set(threads) != {1}:
-        raise AssertionError(f"a scan task ran with OpenBLAS threads {threads}")
-    return value
-
-
 GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+# Where each mode's fake predicate turns True, inside the GRID intervals (0.5, 0.6) and (0.2, 0.3).
+CROSSING = {"unfiltered": 0.55, "filtered": 0.25}
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no core affinity to report")
+def crossing_record(p: float) -> PointRecord:
+    return fake_record(p, before=p > CROSSING["unfiltered"], after=p > CROSSING["filtered"])
+
+
+def crossing_predicate(p: float, mode: str) -> bool:
+    return p > CROSSING[mode]
+
+
 class TestParallelScan:
-    SPEC = dict(family="ghz-noise", p_grid=np.round(np.arange(0.0, 1.0001, 0.25), 10))
+    """Task order and error precedence of a scan, which runs every task in the calling process."""
 
-    def test_worker_count_does_not_change_results(self, cores):
-        cores(1)
-        serial = figure_data("fig2", ScanSpec(**self.SPEC))
-        cores(2)
-        parallel = figure_data("fig2", ScanSpec(**self.SPEC))
-        assert parallel == serial
-        assert parallel.p_violation_filtered is not None and parallel.p_violation_unfiltered is not None
-
-    def test_tasks_run_in_pinned_workers(self, cores, fake_scan):
-        """Grid points and bisection steps on two cores run in forked workers with every OpenBLAS on one thread."""
-        read = fake_scan(lambda p: pinned(fake_record(p, before=p > 0.15)), lambda p, mode: pinned(p > 0.15))
-        cores(2)
-        # Two threads in the parent, inherited by a fork unless the worker pins them.
-        with openblas_threads_set(2):
-            report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=[0.1, 0.2]))
-        assert report.p_violation_unfiltered == plain_bisection(0.1, 0.2, lambda p: p > 0.15)[0]
-        tasks = read()
-        assert {t["kind"] for t in tasks} == {"record", "predicate"}
-        assert os.getpid() not in {t["pid"] for t in tasks}
-        assert multiprocessing.active_children() == []
-
-    def test_one_core_runs_in_process(self, cores, fake_scan):
-        read = fake_scan(lambda p: fake_record(p, before=p > 0.15), lambda p, mode: p > 0.15)
-        cores(1)
+    def test_matches_plain_bisection(self, fake_scan):
+        """The records are the grid's, and each threshold is a plain bisection of its own sign change."""
+        fake_scan(crossing_record, crossing_predicate)
         report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
-        assert report.p_violation_unfiltered == plain_bisection(0.1, 0.2, lambda p: p > 0.15)[0]
-        assert {t["pid"] for t in read()} == {os.getpid()}
-        assert multiprocessing.active_children() == []
+        assert report.records == [crossing_record(p) for p in GRID]
+        unfiltered = plain_bisection(0.5, 0.6, lambda p: crossing_predicate(p, "unfiltered"))[0]
+        filtered = plain_bisection(0.2, 0.3, lambda p: crossing_predicate(p, "filtered"))[0]
+        assert (report.p_violation_unfiltered, report.p_violation_filtered) == (unfiltered, filtered)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_bisection_overlaps_the_grid(self, cores, fake_scan, workers):
-        """The bisection starts once 0.1 and 0.2 are in, before the last grid point, at a serial bisection's midpoints."""
-        read = fake_scan(lambda p: slow(0.05, fake_record(p, before=p > 0.15)), lambda p, mode: p > 0.15)
-        cores(workers)
-        report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
-        threshold, mids = plain_bisection(0.1, 0.2, lambda p: p > 0.15)
-        assert report.p_violation_unfiltered == threshold and report.p_violation_filtered is None
-        started = [t for t in read() if not t.get("ok")]
-        steps = [t for t in started if t["kind"] == "predicate"]
-        assert [t["p"] for t in steps] == mids and {t["mode"] for t in steps} == {"unfiltered"}
-        assert started.index(steps[0]) < [t["p"] for t in started].index(GRID[-1])
-        assert multiprocessing.active_children() == []
+    def test_bisection_follows_the_grid(self, fake_scan):
+        """Every step starts after the last grid point, in _VIOLATES order, at a plain bisection's midpoints."""
+        log = fake_scan(crossing_record, crossing_predicate)
+        figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
+        started = [t for t in log if not t.get("ok")]
+        assert [t["p"] for t in started[: len(GRID)]] == GRID
+        assert {t["kind"] for t in started[: len(GRID)]} == {"record"}
+        unfiltered = plain_bisection(0.5, 0.6, lambda p: crossing_predicate(p, "unfiltered"))[1]
+        filtered = plain_bisection(0.2, 0.3, lambda p: crossing_predicate(p, "filtered"))[1]
+        assert [(t["kind"], t["mode"], t["p"]) for t in started[len(GRID) :]] == [
+            ("predicate", "unfiltered", p) for p in unfiltered
+        ] + [("predicate", "filtered", p) for p in filtered]
 
-    def test_grid_turning_non_monotone_after_a_chain_started(self, cores, fake_scan):
-        """Both grids change sign twice; the unfiltered one is refused, with every bracket."""
+        log = fake_scan(None, lambda p, mode: p > 0.45)
+        threshold = threshold_bisect(ScanSpec(family="chi", p_grid=GRID), "filtered")
+        threshold_ref, mids = plain_bisection(0.4, 0.5, lambda p: p > 0.45)
+        assert threshold == threshold_ref
+        assert [t["p"] for t in log if not t.get("ok")] == GRID + mids
+
+    def test_no_step_over_a_non_monotone_grid(self, fake_scan):
+        """Both grids change sign twice; the unfiltered one is refused, with every bracket, before any step."""
         before = {0.1: False, 0.2: True, 0.3: True, 0.4: True, 0.5: True, 0.6: False}
         after = {0.1: False, 0.2: False, 0.3: True, 0.4: False, 0.5: False, 0.6: False}
-        read = fake_scan(
-            lambda p: slow(0.1 if p > 0.3 else 0.0, fake_record(p, before=before[p], after=after[p])),
-            lambda p, mode: p > 0.15,
-        )
-        cores(2)
+        log = fake_scan(lambda p: fake_record(p, before=before[p], after=after[p]), lambda p, mode: p > 0.15)
         with pytest.raises(NonMonotonePredicateError, match="violates_before") as err:
             figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=list(before)))
         assert err.value.brackets == [(0.1, 0.2), (0.5, 0.6)]
-        assert any(t["kind"] == "predicate" for t in read())
-        assert multiprocessing.active_children() == []
+        assert [t["p"] for t in log if t.get("ok")] == list(before)
+        assert not any(t["kind"] == "predicate" for t in log)
 
-    def test_first_failing_grid_point_raises(self, cores, fake_scan):
-        """0.6 fails first, but 0.5 fails too and comes first in p order; a bisection step is in flight.
-
-        0.6 fails only once a step has started: a worker slow to return 0.2
-        would otherwise let 0.6 fail before the bisection could start.
-        """
+    def test_first_failing_grid_point_raises(self, fake_scan):
+        """0.5 fails first in p order, so 0.6, which would fail too, is never started, nor is a step."""
 
         def record(p):
-            if p == 0.5:
-                time.sleep(0.3)
-            deadline = time.monotonic() + 10.0
-            while p == 0.6 and time.monotonic() < deadline and not any(t["kind"] == "predicate" for t in read()):
-                time.sleep(0.005)
             if p in (0.5, 0.6):
                 raise ValueError(f"grid point {p}")
             return fake_record(p, before=p > 0.15)
 
-        read = fake_scan(record, lambda p, mode: slow(0.05, p > 0.15))
-        cores(3)
+        log = fake_scan(record, lambda p, mode: p > 0.15)
         with pytest.raises(ValueError, match="grid point 0.5"):
             figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
-        tasks = read()
-        started = [t["p"] for t in tasks if t["kind"] == "record"]
-        assert 0.6 in started and 0.7 not in started
-        assert any(t["kind"] == "predicate" for t in tasks)
-        assert multiprocessing.active_children() == []
+        assert [t["p"] for t in log if not t.get("ok")] == [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert {t["kind"] for t in log} == {"record"}
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failing_step_raises_after_the_grid_checks(self, cores, fake_scan, workers):
-        """A failed bisection step is raised once the grid is in and monotone, and not over a non-monotone grid."""
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_failing_step_raises_after_the_grid_checks(self, fake_scan, case):
+        """A failed bisection step is raised once the whole grid is in and monotone, and not over a non-monotone grid."""
 
         def step(p, mode):
             raise RuntimeError(f"step at {p}")
 
-        read = fake_scan(lambda p: fake_record(p, after=p > 0.15), step)
-        cores(workers)
-        with pytest.raises(RuntimeError, match="step at 0.15"):
-            figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
-        assert sorted(t["p"] for t in read() if t["kind"] == "record" and t.get("ok")) == GRID
+        if case == 1:
+            log = fake_scan(lambda p: fake_record(p, after=p > 0.15), step)
+            with pytest.raises(RuntimeError, match="step at 0.15"):
+                figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
+            assert [t["p"] for t in log if t["kind"] == "record" and t.get("ok")] == GRID
+        else:
+            log = fake_scan(lambda p: fake_record(p, after=p in (0.2, 0.3) or p > 0.65), step)
+            with pytest.raises(NonMonotonePredicateError) as err:
+                figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
+            assert err.value.brackets == [(0.1, 0.2), (0.3, 0.4), (0.6, 0.7)]
+            assert not any(t["kind"] == "predicate" for t in log)
 
-        read = fake_scan(lambda p: fake_record(p, after=p in (0.2, 0.3) or p > 0.65), step)
-        with pytest.raises(NonMonotonePredicateError) as err:
-            figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
-        assert err.value.brackets == [(0.1, 0.2), (0.3, 0.4), (0.6, 0.7)]
-        assert multiprocessing.active_children() == []
-
-    def test_threshold_bisect_overlaps_the_grid(self, cores, fake_scan):
-        read = fake_scan(None, lambda p, mode: slow(0.02, p > 0.45))
-        cores(2)
-        threshold = threshold_bisect(ScanSpec(family="chi", p_grid=GRID), "filtered")
-        threshold_ref, mids = plain_bisection(0.4, 0.5, lambda p: p > 0.45)
-        assert threshold == threshold_ref
-        started = [t["p"] for t in read() if not t.get("ok")]
-        assert sorted(started) == sorted(GRID + mids)
-        assert started.index(mids[0]) < started.index(GRID[-1])
-        assert multiprocessing.active_children() == []
-
-    def test_no_worker_outlives_the_scan(self, cores, monkeypatch):
-        cores(2)
+    def test_no_worker_outlives_the_scan(self, monkeypatch):
+        """A scan, one that fails included, starts no child process."""
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("the scan forked"))
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("the scan started a process")
+        )
         figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=[0.9, 1.0]))
-        assert multiprocessing.active_children() == []
         inner = scan_module.filtered_bound
 
         def shifted(rho, filters):
