@@ -28,16 +28,13 @@ filter is a finite one, w + t d at the first t of LADDER_STEPS where the
 kernel's lambda1 is within SUPREMUM_TOL of the supremum.
 
 Any other state takes the box search. A log-spaced grid of filter strengths
-reduces to staged monomial contractions and the top two eigenvalues of each
-3x3 Gram X X^T; one point costs one 28x27 matrix-vector product and one 3x3
-eigen-solve, which gives both values. When no two rows of X share a column
-at any filter, as for real X-states, the Gram is diagonal by structure and a
-point costs three row sums of squares and a selection of the top two instead.
-Grid optima seed bounded Nelder-Mead refinements, each run until its own
-stopping tolerances hold, so the result is the supremum over the strength box
-whichever start wins a tie. Each refinement is one direct call of
-``minimize``, a lean bounded Nelder-Mead that repeats scipy's method step for
-step in the same arithmetic, with less bookkeeping per evaluation.
+reduces to staged monomial contractions and one batched eigen-solve of the
+3x3 Grams X X^T, whose top two eigenvalues are the squared singular values.
+Grid optima seed refinements by scipy's bounded Nelder-Mead, each run until
+its own stopping tolerances hold, so the result is the supremum over the
+strength box whichever start wins a tie. Every kernel evaluation is one
+matrix-vector product and one np.linalg.eigvalsh call, so a failed solve
+raises LinAlgError.
 
 The second singular value gets the same treatment as the first. Near the
 boundary of the violating region the global landscape of the leading value is
@@ -48,11 +45,7 @@ Refining the second-value optima and ranking every candidate by the first
 value keeps the search out of the plateau trap. On that degenerate branch a
 second-value refinement often starts where a leading-value one did and would
 see the same values at every point; it is skipped and the leading run's end
-point reused, which changes no result. Each evaluation makes its three BLAS
-products through ndarray.dot and calls LAPACK's 3x3 symmetric eigen-solver
-directly. A search enters np.linalg.eigvalsh's error state once, around all
-its refinements and its candidate ranking, so a failed solve still raises
-LinAlgError and no evaluation pays for the error state itself.
+point reused, which changes no result.
 
 A scan (figure_data, threshold_bisect) runs in the calling process. It
 certifies its p grid in p order, refuses a grid whose predicate changes sign
@@ -71,8 +64,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
-from scipy.optimize import OptimizeResult
+from scipy.optimize import minimize
 
 from .analysis import certify_filtered, certify_unfiltered
 from .errors import ConsistencyError, NonMonotonePredicateError
@@ -184,27 +176,12 @@ def _filter_kernel(rho: np.ndarray) -> np.ndarray:
     return (CORRELATION_TABLE * np.asarray(rho).ravel()).real @ _ENTRY_MONOMIALS
 
 
-def _rows_disjoint(kernel: np.ndarray) -> bool:
-    """Whether no two rows of X share a column at any filter, read off the kernel.
-
-    An entry of X is absent when all 27 of its monomial coefficients are zero;
-    it is then an exact 0.0 at every grid point. A kernel with a non-finite X
-    coefficient never qualifies, so it fails in the eigen-solve with LinAlgError.
-    """
-    coefs = kernel[:27].reshape(3, 9, 27)
-    present = (coefs != 0).any(axis=2)
-    return bool(np.isfinite(coefs).all() and present.sum(axis=0).max() <= 1)
-
-
 def _lambda_grids(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second normalized singular values over the full filter grid.
 
     Staged monomial contractions give X and N at every grid point; the top two
-    eigenvalues of each 3x3 Gram X X^T are the squared singular values. When
-    X's rows have disjoint supports, every off-diagonal Gram entry is a sum of
-    products with an exact 0.0, so the eigenvalues are the three squared row
-    norms; the top two are selected exactly (max and median), with no Gram
-    product and no eigen-solve. Any other kernel takes the batched eigen-solve.
+    eigenvalues of each 3x3 Gram X X^T, from one batched eigen-solve, are the
+    squared singular values.
     """
     g = xs.size
     v = xs[:, None] ** np.arange(3.0)
@@ -212,58 +189,26 @@ def _lambda_grids(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
     t = np.einsum("yb,xbce->xyce", v, t).reshape(g * g, 3, 28)
     t = (v @ t).reshape(g, g, g, 28)
     x_all, n_all = t[..., :27].reshape(g, g, g, 3, 9), t[..., 27]
-    if _rows_disjoint(kernel):
-        r = np.einsum("...ij,...ij->...i", x_all, x_all)
-        a, b, c = r[..., 0], r[..., 1], r[..., 2]
-        high, low = np.maximum(a, b), np.minimum(a, b)
-        median = np.maximum(low, np.minimum(high, c))
-        return np.sqrt(np.maximum(high, c)) / n_all, np.sqrt(median) / n_all
     w = np.linalg.eigvalsh(x_all @ x_all.swapaxes(-1, -2))
     s = np.sqrt(np.clip(w[..., 1:], 0.0, None))
     return s[..., 1] / n_all, s[..., 0] / n_all
 
 
-# LAPACK's symmetric eigenvalue gufunc behind np.linalg.eigvalsh, on the lower triangle.
-_eigvalsh_lo = _umath_linalg.eigvalsh_lo
-
-
-def _eigvalsh_failed(err: str, flag: int) -> None:
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-def _eigvalsh_errstate() -> np.errstate:
-    """np.linalg.eigvalsh's error state: a failed solve raises LinAlgError, over/divide/under pass."""
-    return np.errstate(call=_eigvalsh_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
-
-
-def _singular_pair(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[float, float]:
-    """_singular_over_n without its error state: the caller holds ``_eigvalsh_errstate()``.
-
-    ndarray.dot makes the same BLAS calls as ``@``, so the same bits, without
-    the matmul ufunc's dispatch.
-    """
-    return _pair_at(kernel, 10.0 ** _EXPONENTS.dot(log_xyz))
-
-
 def _pair_at(kernel: np.ndarray, monomials: np.ndarray) -> tuple[float, float]:
-    """Leading and second singular values of X/N at the 27 monomial values; the caller holds the error state."""
+    """Leading and second singular values of X/N at the 27 monomial values.
+
+    A failed eigen-solve, as on a non-finite kernel value, raises LinAlgError.
+    """
     out = kernel.dot(monomials)
     xm = out[:27].reshape(3, 9)
-    w = _eigvalsh_lo(xm.dot(xm.T), signature="d->d")
+    w = np.linalg.eigvalsh(xm.dot(xm.T))
     n = float(out[27])
     return math.sqrt(max(w[2], 0.0)) / n, math.sqrt(max(w[1], 0.0)) / n
 
 
 def _singular_over_n(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[float, float]:
-    """Leading and second normalized singular values at log10 filter strengths.
-
-    Enters np.linalg.eigvalsh's error state for this one evaluation, so a
-    failed solve, or an invalid value in the kernel products, raises
-    LinAlgError. optimize_filter enters it once per search and calls
-    ``_singular_pair`` directly.
-    """
-    with _eigvalsh_errstate():
-        return _singular_pair(kernel, log_xyz)
+    """Leading and second normalized singular values at log10 filter strengths."""
+    return _pair_at(kernel, 10.0 ** _EXPONENTS.dot(log_xyz))
 
 
 def _local_maxima_mask(grid: np.ndarray) -> np.ndarray:
@@ -302,107 +247,6 @@ def _initial_simplex(start: np.ndarray) -> np.ndarray:
     hi = FILTER_LOG_RANGE[1]
     steps = np.where(start + REFINE_STEP <= hi, REFINE_STEP, -REFINE_STEP)
     return np.vstack([start, start + np.diag(steps)])
-
-
-class _EvaluationCap(Exception):
-    """Raised in place of an evaluation past REFINE_MAX_EVALS."""
-
-
-def _by_value(sim: list, fsim: list) -> tuple[list, list]:
-    """Vertices and values in ascending value order, as scipy orders them.
-
-    ndarray.argsort, which np.argsort calls for scipy: its order of tied values
-    (NaN included) differs from sorted()'s.
-    """
-    order = np.array(fsim).argsort().tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order]
-
-
-def minimize(fun, start: np.ndarray) -> OptimizeResult:
-    """Minimum of ``fun`` over the filter box by bounded Nelder-Mead from ``_initial_simplex(start)``.
-
-    scipy's ``minimize(method="Nelder-Mead")`` with bounds FILTER_LOG_RANGE,
-    REFINE_TOLS and ``maxfev=REFINE_MAX_EVALS``, step for step, on the four
-    vertices of the 3-d simplex held as Python floats: every trial point is
-    clipped into the box and each coefficient product and sum is written in
-    scipy's order, so the runs match it bit for bit (x, fun, nfev, status).
-    The run stops on scipy's ``xatol``/``fatol`` test or, with status 1, at
-    REFINE_MAX_EVALS evaluations; it never makes more. The function is named
-    ``minimize`` because ``bench/spans.py`` wraps that name.
-    """
-    lo, hi = FILTER_LOG_RANGE
-    xatol, fatol = REFINE_TOLS["xatol"], REFINE_TOLS["fatol"]
-    maxfev = REFINE_MAX_EVALS
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _EvaluationCap
-        nfev += 1
-        return float(fun(np.array(x)))
-
-    sim = _initial_simplex(start).tolist()
-    fsim = [math.inf] * 4
-    try:
-        for k in range(4):
-            fsim[k] = f(sim[k])
-    except _EvaluationCap:
-        pass
-    # scipy orders the initial simplex twice.
-    sim, fsim = _by_value(*_by_value(sim, fsim))
-
-    # scipy's non-adaptive coefficients rho = 1, chi = 2, psi = sigma = 1/2,
-    # folded as its expressions evaluate them: reflection (1 + rho) xbar - rho w
-    # is 2 xbar - w, expansion 3 xbar - 2 w, outside contraction 1.5 xbar - 0.5 w,
-    # inside contraction 0.5 xbar + 0.5 w and shrink s0 + 0.5 (s - s0). Each
-    # trial point is clipped as np.clip does, min(max(v, lo), hi), NaN passing
-    # through.
-    while nfev < maxfev:
-        try:
-            s0, s1, s2, w = sim
-            f0 = fsim[0]
-            if all(abs(v - u) <= xatol for s in (s1, s2, w) for v, u in zip(s, s0)) and all(
-                abs(f0 - fj) <= fatol for fj in fsim[1:]
-            ):
-                break
-            # ((s0 + s1) + s2) / 3, as np.add.reduce over the rows adds them.
-            xbar = [(a + b + c) / 3 for a, b, c in zip(s0, s1, s2)]
-            xr = [2 * c - v for c, v in zip(xbar, w)]
-            xr = [lo if v < lo else hi if v > hi else v for v in xr]
-            fxr = f(xr)
-            if fxr < f0:
-                xe = [3 * c - 2 * v for c, v in zip(xbar, w)]
-                xe = [lo if v < lo else hi if v > hi else v for v in xe]
-                fxe = f(xe)
-                sim[3], fsim[3] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[2]:
-                sim[3], fsim[3] = xr, fxr
-            else:
-                if fxr < fsim[3]:
-                    xc = [1.5 * c - 0.5 * v for c, v in zip(xbar, w)]
-                    xc = [lo if v < lo else hi if v > hi else v for v in xc]
-                    fxc = f(xc)
-                    contract = fxc <= fxr
-                else:
-                    xc = [0.5 * c + 0.5 * v for c, v in zip(xbar, w)]
-                    xc = [lo if v < lo else hi if v > hi else v for v in xc]
-                    fxc = f(xc)
-                    contract = fxc < fsim[3]
-                if contract:
-                    sim[3], fsim[3] = xc, fxc
-                else:
-                    for j in (1, 2, 3):
-                        x = [u + 0.5 * (v - u) for u, v in zip(s0, sim[j])]
-                        sim[j] = [lo if v < lo else hi if v > hi else v for v in x]
-                        fsim[j] = f(sim[j])
-        except _EvaluationCap:
-            pass
-        sim, fsim = _by_value(sim, fsim)
-
-    status = 1 if nfev >= maxfev else 0
-    # np.min, as scipy reports fun: NaN when any vertex value is NaN.
-    return OptimizeResult(x=np.array(sim[0]), fun=np.min(fsim), nfev=nfev, status=status, success=status == 0)
 
 
 def _face(populated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,9 +359,7 @@ def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
     On either route the kernel's leading value at the returned filter is
     cross-checked against the filtered state's own correlation matrix: a gap
     above 1e-9, or either value above sqrt(2) + 1e-9, raises
-    ConsistencyError. Kernel evaluations run inside np.linalg.eigvalsh's
-    error state, so a failed eigen-solve raises LinAlgError, and the caller's
-    error state is untouched.
+    ConsistencyError. A failed eigen-solve raises LinAlgError.
     """
     rho = np.asarray(rho)
     if rho[_OFF_X].any():
@@ -527,19 +369,18 @@ def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
     if path is None:
         return _box_search(rho)
     w, d, supremum = path
-    with _eigvalsh_errstate():
-        for t in LADDER_STEPS:
-            ell = w + t * d
-            # X and N are linear in the monomials, so dividing all of them by the largest changes no ratio.
-            monomials = _EXPONENTS.dot(ell)
-            value = _pair_at(kernel, np.exp(monomials - monomials.max()))[0]
-            if abs(value - supremum) <= SUPREMUM_TOL:
-                break
-        else:
-            raise ConsistencyError(
-                f"filter ladder: lambda1 {value!r} at t = {t:g} is still farther than"
-                f" {SUPREMUM_TOL:g} from the supremum {supremum!r}"
-            )
+    for t in LADDER_STEPS:
+        ell = w + t * d
+        # X and N are linear in the monomials, so dividing all of them by the largest changes no ratio.
+        monomials = _EXPONENTS.dot(ell)
+        value = _pair_at(kernel, np.exp(monomials - monomials.max()))[0]
+        if abs(value - supremum) <= SUPREMUM_TOL:
+            break
+    else:
+        raise ConsistencyError(
+            f"filter ladder: lambda1 {value!r} at t = {t:g} is still farther than"
+            f" {SUPREMUM_TOL:g} from the supremum {supremum!r}"
+        )
     x, y, z = np.exp(ell)
     return _checked(rho, FilterParams(float(x), float(y), float(z)), value)
 
@@ -553,9 +394,9 @@ def _box_search(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
     then ranks all candidates (grid argmax and identity included) by the
     leading value, and cross-checks the winner as optimize_filter does.
 
-    The refinements and the ranking run inside one np.linalg.eigvalsh error
-    state, entered here and left on return or raise: a failed eigen-solve
-    raises LinAlgError, and the caller's error state is untouched.
+    Each refinement is scipy's bounded Nelder-Mead from ``_initial_simplex``,
+    stopped by REFINE_TOLS or after REFINE_MAX_EVALS evaluations. A failed
+    eigen-solve raises LinAlgError.
     """
     logs = np.linspace(*FILTER_LOG_RANGE, ScanSpec.filter_grid_points)
     kernel = _filter_kernel(rho)
@@ -568,26 +409,31 @@ def _box_search(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
     # the values of the points it visits, so the second-value run from the same
     # start would retrace that run exactly; its end point is reused instead.
     retraced = {}
-    with _eigvalsh_errstate():
-        for which, start in starts:
-            key = start.tobytes()
-            if which == 1 and key in retraced:
-                candidates.append(retraced[key])
-                continue
-            tied = True
+    for which, start in starts:
+        key = start.tobytes()
+        if which == 1 and key in retraced:
+            candidates.append(retraced[key])
+            continue
+        tied = True
 
-            def objective(v, which=which):
-                nonlocal tied
-                pair = _singular_pair(kernel, v)
-                tied = tied and pair[0] == pair[1]
-                return -pair[which]
+        def objective(v, which=which):
+            nonlocal tied
+            pair = _singular_over_n(kernel, v)
+            tied = tied and pair[0] == pair[1]
+            return -pair[which]
 
-            res = minimize(objective, start)
-            candidates.append(res.x)
-            if which == 0 and tied:
-                retraced[key] = res.x
+        res = minimize(
+            objective,
+            start,
+            method="Nelder-Mead",
+            bounds=[FILTER_LOG_RANGE] * 3,
+            options={"maxfev": REFINE_MAX_EVALS, "initial_simplex": _initial_simplex(start), **REFINE_TOLS},
+        )
+        candidates.append(res.x)
+        if which == 0 and tied:
+            retraced[key] = res.x
 
-        values = [_singular_pair(kernel, v)[0] for v in candidates]
+    values = [_singular_over_n(kernel, v)[0] for v in candidates]
     best = 10.0 ** candidates[int(np.argmax(values))]
     return _checked(rho, FilterParams(float(best[0]), float(best[1]), float(best[2])), max(values))
 

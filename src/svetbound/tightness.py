@@ -4,8 +4,11 @@ The bilinear form reaches 4 * lambda_1 if and only if the two orthogonal
 combinations t1 = a (x) c - a' (x) c' and t2 = a (x) c' + a' (x) c both lie in
 the leading right-singular subspace of the correlation matrix. Since
 |t1|^2 + |t2|^2 = 4 for any unit settings, that containment is equivalent to
-|B t1|^2 + |B t2|^2 = 4 for an orthonormal basis B of the subspace; the
-residual sqrt(4 - |B t1|^2 - |B t2|^2) decides ``found`` on every route.
+|B t1|^2 + |B t2|^2 = 4 for an orthonormal basis B of the subspace. The
+residual, the distance sqrt(4 - |B t1|^2 - |B t2|^2) of (t1, t2) from the
+subspace, decides ``found`` on every route. The exact route computes it as
+the norm of the components of t1 and t2 off the subspace, which loses no
+digits to the subtraction; the L-BFGS fallback minimizes the deficit itself.
 
 As 3x3 matrices, T1 + i T2 = (a + i a')(c + i c')^T is rank one. Conversely,
 any nonzero rank-one complex matrix alpha gamma^T in the complexified
@@ -105,11 +108,15 @@ class DecompositionResult:
 
 
 def _residual(basis: np.ndarray, a, ap, c, cp) -> float:
-    """sqrt(4 - |B t1|^2 - |B t2|^2), clipped at zero, for unit outer settings."""
+    """sqrt(|(I - B^T B) t1|^2 + |(I - B^T B) t2|^2), the distance of (t1, t2) from the subspace.
+
+    For unit outer settings it equals sqrt(4 - |B t1|^2 - |B t2|^2), since B
+    has orthonormal rows, but it keeps the digits that subtraction cancels.
+    """
     outer = np.multiply.outer
-    bt1 = basis @ (outer(a, c) - outer(ap, cp)).ravel()
-    bt2 = basis @ (outer(a, cp) + outer(ap, c)).ravel()
-    return math.sqrt(max(4.0 - bt1 @ bt1 - bt2 @ bt2, 0.0))
+    t = np.stack([(outer(a, c) - outer(ap, cp)).ravel(), (outer(a, cp) + outer(ap, c)).ravel()])
+    off = t - (t @ basis.T) @ basis
+    return math.sqrt(float(np.sum(off * off)))
 
 
 def _pencil_quadratic(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:

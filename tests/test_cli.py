@@ -8,7 +8,7 @@ import pytest
 
 import svetbound.cli as cli_module
 import svetbound.scan as scan_module
-from conftest import openblas_threads, openblas_threads_set
+from conftest import openblas_threads, openblas_threads_set, random_density
 from svetbound.cli import main
 from svetbound.errors import (
     ConsistencyError,
@@ -16,7 +16,8 @@ from svetbound.errors import (
     PhysicalityError,
     StateFormatError,
 )
-from svetbound.states import build_ghz_noise_state, save_state
+from svetbound.fileio import format_value
+from svetbound.states import build_ghz_noise_state, load_state, save_state
 
 SQ2 = math.sqrt(2.0)
 SETTING_KEYS = ["a", "a_prime", "b", "b_prime", "c", "c_prime"]
@@ -188,6 +189,21 @@ class TestFilterCommand:
         fields = out_map(out)
         assert float(fields["lambda1_prime"]) == pytest.approx(1.1542290377905464, abs=1e-9)
         assert fields["violates"] == "true"
+
+    def test_optimize_state_file_takes_the_box_search(self, capsys, monkeypatch, tmp_path):
+        """A seeded Ginibre state is no X-state: the command prints the filter and value of the box search."""
+        path = tmp_path / "ginibre.json"
+        save_state(random_density(np.random.default_rng(1)), str(path))
+        params, fa = scan_module.optimize_filter(load_state(str(path)))
+        runs = []
+        inner = scan_module.minimize
+        monkeypatch.setattr(scan_module, "minimize", lambda *args, **kwargs: runs.append(1) or inner(*args, **kwargs))
+        code, out, err = run(capsys, ["filter", "--state", str(path), "--optimize"])
+        assert code == 0, err
+        assert runs
+        fields = out_map(out)
+        assert fields["filter"] == format_value({"x": params.x, "y": params.y, "z": params.z})
+        assert fields["lambda1_prime"] == format_value(fa.lambda1_prime)
 
     def test_extreme_strengths_keep_nonnegative_normalization(self, capsys):
         """A filter near a projector: the canonical N is a sum of populations, not a cancellation."""

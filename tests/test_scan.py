@@ -34,7 +34,6 @@ from svetbound.scan import (
     _top_starts,
     build_family_state,
     figure_data,
-    minimize,
     optimize_filter,
     threshold_bisect,
     write_csv,
@@ -83,7 +82,7 @@ class TestFastPath:
 
     @pytest.mark.parametrize("source", ["chi", "ghz-noise", "random"])
     def test_grid_agrees_with_scalar_eval(self, rng, source):
-        """Both grid routes, row norms for the families and the eigen-solve for a random density."""
+        """The batched grid against the point evaluation, on both families and a random density."""
         rho = random_density(rng) if source == "random" else build_family_state(source, 0.5)
         kernel = _filter_kernel(rho)
         logs = np.linspace(-1.0, 1.0, 5)
@@ -94,31 +93,39 @@ class TestFastPath:
             assert lam2[idx] == pytest.approx(second, abs=1e-12)
 
 
-def eigvalsh_singular_over_n(kernel: np.ndarray, log_xyz: np.ndarray) -> tuple[float, float]:
-    """_singular_over_n through np.linalg.eigvalsh: the reference for its direct eigen-solver call."""
-    out = kernel @ 10.0 ** (scan_module._EXPONENTS @ log_xyz)
-    xm = out[:27].reshape(3, 9)
-    w = np.linalg.eigvalsh(xm @ xm.T)
-    n = float(out[27])
-    return math.sqrt(max(w[2], 0.0)) / n, math.sqrt(max(w[1], 0.0)) / n
-
-
-def grid_grams(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram X X^T and N at every point of the filter grid, by the contraction of _lambda_grids."""
+def grid_x_and_n(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X and N at every point of the filter grid, by the contraction of _lambda_grids."""
     g = xs.size
     v = xs[:, None] ** np.arange(3.0)
     t = (v @ kernel.T.reshape(3, 9 * 28)).reshape(g, 3, 3, 28)
     t = np.einsum("yb,xbce->xyce", v, t).reshape(g * g, 3, 28)
     t = (v @ t).reshape(g, g, g, 28)
-    x_all = t[..., :27].reshape(g, g, g, 3, 9)
-    return x_all @ x_all.swapaxes(-1, -2), t[..., 27]
+    return t[..., :27].reshape(g, g, g, 3, 9), t[..., 27]
 
 
-def eigvalsh_lambda_grids(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_lambda_grids by the batched eigen-solve on every kernel: the reference for its row-norm route."""
-    gram, n_all = grid_grams(kernel, xs)
-    s = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., 1:], 0.0, None))
-    return s[..., 1] / n_all, s[..., 0] / n_all
+def row_norm_lambda_grids(kernel: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid values when the Gram X X^T is diagonal, as it is when X's rows share no column.
+
+    Its eigenvalues are then the three squared row norms, and the top two are
+    selected exactly (max and median), with no eigen-solve: the reference the
+    batched eigen-solve must meet on such kernels.
+    """
+    x_all, n_all = grid_x_and_n(kernel, xs)
+    r = np.einsum("...ij,...ij->...i", x_all, x_all)
+    a, b, c = r[..., 0], r[..., 1], r[..., 2]
+    high, low = np.maximum(a, b), np.minimum(a, b)
+    median = np.maximum(low, np.minimum(high, c))
+    return np.sqrt(np.maximum(high, c)) / n_all, np.sqrt(median) / n_all
+
+
+def off_diagonal_gram(kernel: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of the Gram X X^T at every grid point."""
+    x_all, _ = grid_x_and_n(kernel, xs)
+    return (x_all @ x_all.swapaxes(-1, -2))[..., ~np.eye(3, dtype=bool)]
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 def real_x_state(rng: np.random.Generator) -> np.ndarray:
@@ -127,6 +134,15 @@ def real_x_state(rng: np.random.Generator) -> np.ndarray:
     rho = np.diag(pops)
     for i in range(4):
         rho[i, 7 - i] = rho[7 - i, i] = rng.uniform(-1.0, 1.0) * math.sqrt(pops[i] * pops[7 - i])
+    return rho / pops.sum()
+
+
+def row_disjoint_state(rng: np.random.Generator) -> np.ndarray:
+    """A non-X state whose X rows share no column: random populations and real coherences rho[0, 5], rho[2, 7]."""
+    pops = rng.uniform(0.05, 1.0, size=8)
+    rho = np.diag(pops)
+    for i, j in ((0, 5), (2, 7)):
+        rho[i, j] = rho[j, i] = rng.uniform(-1.0, 1.0) * math.sqrt(pops[i] * pops[j])
     return rho / pops.sum()
 
 
@@ -145,13 +161,14 @@ def eigen_solves(monkeypatch) -> list:
 
 
 class TestGridRoutes:
-    """_lambda_grids' row-norm route, taken when X's rows share no column, against the batched eigen-solve."""
+    """_lambda_grids takes one batched eigen-solve on every kernel; where X's rows share no column it meets the row norms."""
 
     XS = 10.0 ** np.linspace(*FILTER_LOG_RANGE, ScanSpec.filter_grid_points)
+    ONE_SOLVE = [(25, 25, 25, 3, 3)]
 
     @pytest.mark.parametrize("family", ["chi", "ghz-noise"])
     def test_families_bit_for_bit(self, eigen_solves, family):
-        """Every p of the 0.05 grid: the same bits, and a Gram that is diagonal to the last bit.
+        """Every p of the 0.05 grid: the row norms' bits, from a Gram that is diagonal to the last bit.
 
         The bits agree because each family row of X holds one entry, or two of
         equal magnitude, whose squares sum to the same double in any order,
@@ -160,48 +177,42 @@ class TestGridRoutes:
         for p in np.round(np.arange(0.0, 1.0001, 0.05), 10):
             kernel = _filter_kernel(build_family_state(family, p))
             grids = _lambda_grids(kernel, self.XS)
-            assert eigen_solves == []
-            ref = eigvalsh_lambda_grids(kernel, self.XS)
-            assert all(map(same_bits, grids, ref))
-            gram, _ = grid_grams(kernel, self.XS)
-            assert np.all(gram[..., ~np.eye(3, dtype=bool)] == 0.0)
+            assert eigen_solves == self.ONE_SOLVE
+            assert all(map(same_bits, grids, row_norm_lambda_grids(kernel, self.XS)))
+            assert np.all(off_diagonal_gram(kernel, self.XS) == 0.0)
             eigen_solves.clear()
 
     def test_random_density_takes_eigen_solve(self, eigen_solves, rng):
         kernel = _filter_kernel(random_density(rng))
-        grids = _lambda_grids(kernel, self.XS)
-        assert eigen_solves == [(25, 25, 25, 3, 3)]
-        assert all(map(same_bits, grids, eigvalsh_lambda_grids(kernel, self.XS)))
+        lam1, lam2 = _lambda_grids(kernel, self.XS)
+        assert eigen_solves == self.ONE_SOLVE
+        assert np.all(lam1 >= lam2) and np.all(lam2 >= 0.0)
 
     def test_shared_column_takes_eigen_solve(self, eigen_solves):
-        """One coefficient puts X[y, 0] next to X[x, 0]: the Gram has off-diagonals, so no row norms."""
+        """One coefficient puts X[y, 0] next to X[x, 0]: the Gram has off-diagonals, which the row norms miss."""
         kernel = _filter_kernel(build_ghz_noise_state(0.5))
         kernel[9, 13] = 0.1
         grids = _lambda_grids(kernel, self.XS)
-        assert eigen_solves == [(25, 25, 25, 3, 3)]
-        assert all(map(same_bits, grids, eigvalsh_lambda_grids(kernel, self.XS)))
-        gram, _ = grid_grams(kernel, self.XS)
-        assert np.any(gram[..., 0, 1] != 0.0)
+        assert eigen_solves == self.ONE_SOLVE
+        assert np.any(off_diagonal_gram(kernel, self.XS) != 0.0)
+        assert not all(map(same_bits, grids, row_norm_lambda_grids(kernel, self.XS)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coefficient_fails_in_the_solve(self, bad):
-        """A non-finite coefficient in a row-disjoint kernel goes to the eigen-solve and fails there."""
         kernel = _filter_kernel(build_ghz_noise_state(0.5))
         kernel[0, 13] = bad
         # inf * 0.0 in the Gram product is an invalid value before the solve fails.
-        with np.errstate(invalid="ignore"):
-            want = outcome(eigvalsh_lambda_grids, kernel, self.XS)
-            assert want[0] is np.linalg.LinAlgError
-            assert outcome(_lambda_grids, kernel, self.XS) == want
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _lambda_grids(kernel, self.XS)
 
     def test_real_x_states_within_rounding(self, eigen_solves):
-        """Real X-states outside the families take the row norms; the bits may differ from LAPACK's, by rounding."""
+        """On real X-states outside the families the bits may differ from the row norms', by rounding."""
         rng = np.random.default_rng(11)
         for _ in range(10):
             kernel = _filter_kernel(real_x_state(rng))
             grids = _lambda_grids(kernel, self.XS)
-            assert eigen_solves == []
-            for grid, ref in zip(grids, eigvalsh_lambda_grids(kernel, self.XS)):
+            assert eigen_solves == self.ONE_SOLVE
+            for grid, ref in zip(grids, row_norm_lambda_grids(kernel, self.XS)):
                 np.testing.assert_allclose(grid, ref, rtol=1e-15, atol=0.0)
             eigen_solves.clear()
 
@@ -210,73 +221,51 @@ class TestGridRoutes:
         rng = np.random.default_rng(12)
         states = [real_x_state(rng) for _ in range(4)]
         found = [_box_search(rho)[1].lambda1_prime for rho in states]
-        monkeypatch.setattr(scan_module, "_lambda_grids", eigvalsh_lambda_grids)
+        monkeypatch.setattr(scan_module, "_lambda_grids", row_norm_lambda_grids)
         for rho, value in zip(states, found):
             assert value == pytest.approx(_box_search(rho)[1].lambda1_prime, abs=1e-12)
 
 
-def outcome(fn, *args):
-    """The bits ``fn(*args)`` returns, or the type and message of what it raises."""
-    try:
-        return np.asarray(fn(*args), dtype=float).tobytes()
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def direct_eigvalsh(a: np.ndarray) -> np.ndarray:
-    """LAPACK's gufunc under np.linalg.eigvalsh's error state, as _singular_over_n calls it."""
-    with scan_module._eigvalsh_errstate():
-        return scan_module._eigvalsh_lo(a, signature="d->d")
-
-
 class TestEigenSolver:
-    """The direct eigen-solve and _singular_over_n against np.linalg.eigvalsh, bit for bit and error for error."""
+    """Kernel evaluations through np.linalg.eigvalsh: the ladder's scaled monomials, exact ties and failed solves."""
 
     def test_random_kernels(self, rng):
+        """Dividing every monomial by the largest, as the X-state ladder does, moves the values only by rounding.
+
+        Both squared values are eigenvalues of one Gram, so their rounding is
+        relative to the leading one's square.
+        """
         for _ in range(20):
             kernel = _filter_kernel(random_density(rng))
             for log_xyz in rng.uniform(*FILTER_LOG_RANGE, size=(20, 3)):
-                assert outcome(_singular_over_n, kernel, log_xyz) == outcome(eigvalsh_singular_over_n, kernel, log_xyz)
+                monomials = scan_module._EXPONENTS @ (math.log(10.0) * log_xyz)
+                scaled = np.array(scan_module._pair_at(kernel, np.exp(monomials - monomials.max())))
+                plain = np.array(_singular_over_n(kernel, log_xyz))
+                np.testing.assert_allclose(scaled**2, plain**2, rtol=0.0, atol=1e-12 * plain[0] ** 2)
 
     def test_degenerate_ghz_branch(self):
-        """Every point the leading-value runs visit on ghz-noise p = 0.5, where lambda1 == lambda2 exactly."""
+        """On ghz-noise p = 0.5 most points the refinements visit tie lambda1 == lambda2 to the last bit.
+
+        The box search skips a second-value run that would retrace such a tie.
+        """
         kernel, starts = grid_starts(build_ghz_noise_state(0.5))
         visited = []
         for which, start in starts:
-            minimize(lambda v: visited.append(v) or -_singular_over_n(kernel, v)[which], start)
-        ties = 0
-        for v in visited:
-            pair = _singular_over_n(kernel, v)
-            assert np.asarray(pair).tobytes() == np.asarray(eigvalsh_singular_over_n(kernel, v)).tobytes()
-            ties += pair[0] == pair[1]
+            scipy_refinement(lambda v: visited.append(np.array(v)) or -_singular_over_n(kernel, v)[which], start)
+        ties = sum(first == second for first, second in (_singular_over_n(kernel, v) for v in visited))
         assert ties > len(visited) // 2
-
-    @pytest.mark.parametrize(
-        "gram",
-        [
-            np.diag([np.nan, 1.0, 2.0]),
-            np.diag([np.inf, 1.0, 2.0]),
-            np.diag([-np.inf, 1.0, 2.0]),
-            np.full((3, 3), np.nan),
-            np.array([[np.inf, np.inf, np.inf], [np.inf, 2.0, 1.0], [np.inf, 1.0, 2.0]]),
-            np.array([[1.0, np.nan, 0.0], [np.nan, 2.0, 0.0], [0.0, 0.0, 3.0]]),
-        ],
-    )
-    def test_non_finite_matrix(self, gram):
-        assert outcome(direct_eigvalsh, gram) == outcome(np.linalg.eigvalsh, gram)
 
     @pytest.mark.parametrize("log_xyz", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]])
     def test_non_finite_strengths(self, log_xyz):
+        """A non-finite log strength makes NaN monomials (0 * inf in the exponents), so the solve fails."""
         kernel = _filter_kernel(build_chi_state(0.5))
-        with np.errstate(invalid="ignore"):
-            want = outcome(eigvalsh_singular_over_n, kernel, np.array(log_xyz))
-            assert outcome(_singular_over_n, kernel, np.array(log_xyz)) == want
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _singular_over_n(kernel, np.array(log_xyz))
 
-    def test_failed_solve_raises_linalgerror(self, monkeypatch):
-        """A solve LAPACK reports as failed raises LinAlgError, as np.linalg.eigvalsh does, not a warning."""
-        solve = scan_module._eigvalsh_lo
-        monkeypatch.setattr(scan_module, "_eigvalsh_lo", lambda a, **kw: solve(np.full_like(a, np.nan), **kw))
+    def test_failed_solve_raises_linalgerror(self):
+        """A NaN kernel coefficient fails the solve: LinAlgError, not a warning."""
         kernel = _filter_kernel(build_ghz_noise_state(0.5))
+        kernel[0, 13] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             _singular_over_n(kernel, np.zeros(3))
 
@@ -382,7 +371,7 @@ def dense_box_supremum(rho: np.ndarray, points: int = 41, starts: int = 20) -> f
 
 
 def scipy_refinement(objective, start: np.ndarray, maxfev: int = REFINE_MAX_EVALS):
-    """scipy's bounded Nelder-Mead with the box, simplex and tolerances of ``minimize``."""
+    """scipy's bounded Nelder-Mead with the box, simplex and tolerances the box search states."""
     return scipy_minimize(
         objective,
         start,
@@ -403,13 +392,13 @@ def grid_starts(rho: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.ndarray
 
 @pytest.fixture
 def refinements(monkeypatch) -> list:
-    """(start, result) of every Nelder-Mead run that optimize_filter makes."""
+    """(objective, start, result) of every Nelder-Mead run that optimize_filter makes."""
     runs = []
     inner = scan_module.minimize
 
-    def spy(fun, start):
-        res = inner(fun, start)
-        runs.append((np.array(start), res))
+    def spy(fun, start, **kwargs):
+        res = inner(fun, start, **kwargs)
+        runs.append((fun, np.array(start), res))
         return res
 
     monkeypatch.setattr(scan_module, "minimize", spy)
@@ -418,131 +407,47 @@ def refinements(monkeypatch) -> list:
 
 class TestNelderMead:
     @pytest.mark.parametrize("source", ["chi", "ghz-noise", "random"])
-    def test_nelder_mead_matches_scipy(self, monkeypatch, source):
-        """Bit for bit against scipy's bounded Nelder-Mead from every grid start, and under a cap."""
+    def test_nelder_mead_matches_scipy(self, monkeypatch, refinements, source):
+        """Every refinement is scipy_refinement from its start, bit for bit, also under a lowered cap."""
         if source == "random":
             states = [random_density(np.random.default_rng(seed)) for seed in range(5)]
         else:
             states = [build_family_state(source, p) for p in np.round(np.arange(0.0, 1.0001, 0.05), 10)]
-        # Starts on the upper face, whose simplex steps inward, are among them.
-        upper_face = 0
         for rho in states:
-            kernel, starts = grid_starts(rho)
-            for which, start in starts:
-
-                def objective(v, kernel=kernel, which=which):
-                    return -_singular_over_n(kernel, v)[which]
-
-                upper_face += bool(np.any(start == FILTER_LOG_RANGE[1]))
-                ref = scipy_refinement(objective, start)
-                lean = minimize(objective, start)
-                assert np.array_equal(lean.x, ref.x)
-                assert (lean.fun, lean.nfev, lean.status, lean.success) == (
-                    ref.fun, ref.nfev, ref.status, ref.success
-                )
-        assert upper_face
+            _box_search(rho)
+        # Starts on the upper face, whose simplex steps inward, are among them.
+        assert any(np.any(start == FILTER_LOG_RANGE[1]) for _, start, _ in refinements)
+        for fun, start, res in refinements:
+            ref = scipy_refinement(fun, start)
+            assert np.array_equal(res.x, ref.x)
+            assert (res.fun, res.nfev, res.status, res.success) == (ref.fun, ref.nfev, ref.status, ref.success)
 
         # A run the cap stops: ghz-noise p = 0.5 needs over 400 evaluations from its best start.
-        kernel, starts = grid_starts(build_ghz_noise_state(0.5))
-        which, start = starts[0]
-
-        def objective(v):
-            return -_singular_over_n(kernel, v)[which]
-
-        ref = scipy_refinement(objective, start, maxfev=40)
+        refinements.clear()
         monkeypatch.setattr(scan_module, "REFINE_MAX_EVALS", 40)
-        lean = minimize(objective, start)
-        assert lean.status == ref.status == 1 and not lean.success
-        assert lean.nfev == ref.nfev <= 40
-        assert np.array_equal(lean.x, ref.x) and lean.fun == ref.fun
-
-
-def same_bits(a, b) -> bool:
-    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
-
-
-def plateaus(v) -> float:
-    """Piecewise constant on cells of the box, so whole simplices tie exactly."""
-    return float(np.floor(v[0]) + np.floor(2.0 * v[1]) - np.floor(v[2] / 2.0))
-
-
-def holed_bowl(v) -> float:
-    """A smooth bowl that is NaN on part of the box, its minimum included."""
-    if v[0] + v[1] > 1.0:
-        return math.nan
-    return float((v[0] - 1.0) ** 2 + (v[1] - 0.5) ** 2 + (v[2] + 2.0) ** 2)
-
-
-class TestNelderMeadOrdering:
-    """minimize against scipy where _by_value must order exact ties and NaN as scipy does."""
-
-    # The origin, a start near and one on the upper face, one whose simplex
-    # straddles holed_bowl's NaN edge and one inside its NaN part.
-    STARTS = [
-        np.zeros(3),
-        np.array([0.3, -1.7, 2.95]),
-        np.array([3.0, 3.0, -3.0]),
-        np.array([0.45, 0.5, 0.0]),
-        np.array([0.9, 0.9, 0.0]),
-    ]
-
-    @pytest.fixture
-    def orderings(self, monkeypatch) -> list:
-        """Every value list minimize hands _by_value."""
-        seen = []
-        inner = scan_module._by_value
-
-        def spy(sim, fsim):
-            seen.append(list(fsim))
-            return inner(sim, fsim)
-
-        monkeypatch.setattr(scan_module, "_by_value", spy)
-        return seen
-
-    def assert_matches_scipy(self, objective, start, maxfev=REFINE_MAX_EVALS):
-        ref = scipy_refinement(objective, start, maxfev=maxfev)
-        lean = minimize(objective, start)
-        assert same_bits(lean.x, ref.x) and same_bits(lean.fun, ref.fun)
-        assert (lean.nfev, lean.status, lean.success) == (ref.nfev, ref.status, ref.success)
-        return lean
-
-    def test_exact_ties(self, orderings):
-        for start in self.STARTS:
-            self.assert_matches_scipy(plateaus, start)
-        assert any(len(set(fsim)) < len(fsim) for fsim in orderings)
-
-    def test_nan_on_part_of_the_box(self, orderings):
-        nan_results = 0
-        for start in self.STARTS:
-            nan_results += math.isnan(self.assert_matches_scipy(holed_bowl, start).fun)
-        # Some orderings mix NaN with numbers, and some runs end on a NaN vertex.
-        assert any(0 < sum(map(math.isnan, fsim)) < len(fsim) for fsim in orderings)
-        assert nan_results
-
-    @pytest.mark.parametrize("cap", [4, 25])
-    @pytest.mark.parametrize("objective", [plateaus, holed_bowl, lambda v: math.nan])
-    def test_capped(self, monkeypatch, objective, cap):
-        """Four evaluations leave the initial simplex, with NaN and numbers on the straddling start."""
-        monkeypatch.setattr(scan_module, "REFINE_MAX_EVALS", cap)
-        statuses = [self.assert_matches_scipy(objective, start, maxfev=cap).status for start in self.STARTS]
-        assert 1 in statuses
+        _box_search(build_ghz_noise_state(0.5))
+        fun, start, res = refinements[0]
+        ref = scipy_refinement(fun, start, maxfev=40)
+        assert res.status == ref.status == 1 and not res.success
+        assert res.nfev == ref.nfev <= 40
+        assert np.array_equal(res.x, ref.x) and res.fun == ref.fun
 
 
 class TestSearchErrorState:
-    """Both routes enter np.linalg.eigvalsh's error state once, around all their kernel evaluations."""
+    """A failed eigen-solve on either route raises LinAlgError, warns nothing and leaves the error state as it was."""
 
     @staticmethod
     def assert_failed_solve_raises(monkeypatch, search, failing):
         """Solve number ``failing`` of ``search`` on ghz-noise p = 0.5 fails: LinAlgError, no warning, state restored."""
-        solve = scan_module._eigvalsh_lo
+        solve = np.linalg.eigvalsh
         calls = 0
 
-        def flaky(a, **kw):
+        def flaky(a, *args, **kwargs):
             nonlocal calls
             calls += 1
-            return solve(np.full_like(a, np.nan) if calls == failing else a, **kw)
+            return solve(np.full_like(a, np.nan) if calls == failing else a, *args, **kwargs)
 
-        monkeypatch.setattr(scan_module, "_eigvalsh_lo", flaky)
+        monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
         before = np.geterr(), np.geterrcall()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -554,7 +459,7 @@ class TestSearchErrorState:
 
     @pytest.mark.parametrize("failing", [2, 500])
     def test_failed_solve_inside_a_refinement_raises(self, monkeypatch, failing):
-        """Solve 2 fails in the first refinement, solve 500 in the second (423 + 347 solves)."""
+        """Solve 1 is the grid's; solve 2 fails in the first refinement, solve 500 in the second (423 + 347 solves)."""
         self.assert_failed_solve_raises(monkeypatch, _box_search, failing)
 
     def test_failed_solve_on_the_ladder_raises(self, monkeypatch):
@@ -614,10 +519,18 @@ class TestOptimizeFilter:
         assert fa.lambda1_prime == pytest.approx(1.123033129109576, abs=1e-9)
         assert fa.bound > 4.0
 
-    @pytest.mark.parametrize("family", ["chi", "ghz-noise"])
-    @pytest.mark.parametrize("p", [0.37, 0.5, 0.9])
-    def test_reaches_box_supremum(self, family, p):
-        rho = build_family_state(family, p)
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            *(
+                pytest.param(build_family_state(family, p), id=f"{p}-{family}")
+                for p in (0.37, 0.5, 0.9)
+                for family in ("chi", "ghz-noise")
+            ),
+            pytest.param(row_disjoint_state(np.random.default_rng(5)), id="row-disjoint"),
+        ],
+    )
+    def test_reaches_box_supremum(self, rho):
         _, fa = _box_search(rho)
         assert fa.lambda1_prime == pytest.approx(dense_box_supremum(rho), abs=1e-9)
 
@@ -632,7 +545,7 @@ class TestOptimizeFilter:
             for p in (0.0, 0.37, 0.5, 0.9):
                 _box_search(build(p))
         assert len(refinements) == 24
-        for _, res in refinements:
+        for _, _, res in refinements:
             assert res.success and res.status == 0
             assert res.nfev < REFINE_MAX_EVALS
 
@@ -644,10 +557,10 @@ class TestOptimizeFilter:
         leading = [start for which, start in starts if which == 0]
         second = [start for which, start in starts if which == 1]
         assert len(refinements) == len(leading) == len(second) == 2
-        ends = {start.tobytes(): res for start, res in refinements}
+        ends = {start.tobytes(): res for _, start, res in refinements}
         for start in second:
             reused = ends[start.tobytes()]
-            rerun = minimize(lambda v: -_singular_over_n(kernel, v)[1], start)
+            rerun = scipy_refinement(lambda v: -_singular_over_n(kernel, v)[1], start)
             assert np.array_equal(rerun.x, reused.x)
             assert rerun.nfev == reused.nfev
 
@@ -669,7 +582,7 @@ class TestOptimizeFilter:
             monkeypatch.setattr(scan_module, "_top_starts", same_starts)
         _box_search(build_ghz_noise_state(0.2))
         assert len(refinements) == 4
-        starts = [start.tobytes() for start, _ in refinements]
+        starts = [start.tobytes() for _, start, _ in refinements]
         assert (starts[:2] == starts[2:]) == shared_starts
 
     def test_kernel_disagreement_raises(self, monkeypatch):

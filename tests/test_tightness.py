@@ -143,6 +143,20 @@ class TestFamilyDecompositions:
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
+    def test_residual_at_rounding_level(self, build):
+        """Every degenerate subspace of the 0.01 grid is certified with a residual of rounding size.
+
+        4 - |B t1|^2 - |B t2|^2 would cancel to about 1e-16, so its square root
+        would read up to about 1e-8 on an exact decomposition.
+        """
+        for p in np.round(np.arange(0.0, 1.0001, 0.01), 10):
+            svd = correlation_matrix(build(p)).svd
+            if svd.degeneracy() >= 2:
+                dec = check_tightness(svd)
+                assert dec.found, p
+                assert dec.residual <= 1e-12, p
+
+    @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
     def test_pair_spans_leading_subspace(self, build):
         """t1 and t2 must land in span{v1, v2} of the degenerate leading pair."""
         corr = correlation_matrix(build(0.5))
