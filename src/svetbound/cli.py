@@ -12,13 +12,12 @@ import dataclasses
 import functools
 import json
 import math
-import os
-import re
 import sys
 
 import numpy as np
 
 from .analysis import certify_filtered, certify_unfiltered
+from .blas import MAPS_PATH, Pins, openblas_pins, set_threads
 from .errors import (
     ConsistencyError,
     FilterAnnihilationError,
@@ -63,55 +62,21 @@ _EXIT_CODES = (
 # Grid steps finer than the bisection tolerance 1e-4 resolve nothing more.
 MAX_P_GRID_POINTS = 10_001
 
-# Threaded BLAS libraries cli.main pins, by file name, and the OpenBLAS entry
-# points that set its thread count: numpy's wheels export the first, scipy's
-# the second.
-_BLAS_LIBRARY = re.compile(r"^lib(?:\w*openblas|mkl|blis)")
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
 
 @functools.cache
-def _blas_pins() -> tuple[tuple[str, str], ...] | None:
-    """(library path, thread-count setter) of every loaded OpenBLAS, found once per process.
+def _blas_pins() -> Pins | None:
+    """(library path, thread-count setter) of every OpenBLAS loaded at the first cli.main, found once per process.
 
     None when the loaded libraries cannot be listed, or when a loaded BLAS
-    (OpenBLAS, MKL or BLIS) has no OpenBLAS setter to pin it with. The set is
-    fixed once this module is imported, since importing the scan module loads
-    scipy's OpenBLAS next to numpy's.
+    (OpenBLAS, MKL or BLIS) has no OpenBLAS setter to pin it with. scipy's
+    OpenBLAS loads only when a search first needs it, and then takes the
+    thread count of numpy's, which cli.main has pinned (see svetbound.optimizer).
     """
-    import ctypes
-
     try:
-        with open("/proc/self/maps") as fh:
-            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh) if len(parts) == 6}
+        with open(MAPS_PATH) as fh:
+            return openblas_pins(fh)
     except OSError:
         return None
-    pins = []
-    for path in sorted(p for p in paths if _BLAS_LIBRARY.search(os.path.basename(p))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            return None
-        setter = next((name for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
-        if setter is None:
-            return None
-        pins.append((path, setter))
-    return tuple(pins)
-
-
-def _pin_blas(pins: tuple[tuple[str, str], ...]) -> None:
-    """Every OpenBLAS in ``pins`` runs single-threaded."""
-    import ctypes
-
-    for path, setter in pins:
-        fn = getattr(ctypes.CDLL(path), setter)
-        fn.argtypes, fn.restype = [ctypes.c_int], None
-        fn(1)
 
 
 def _emit(report: dict, json_path: str | None) -> None:
@@ -349,7 +314,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     # The package's matrices are at most 8x8, so a BLAS thread pool gains
     # nothing; its idle threads would only spin on the other cores.
-    _pin_blas(_blas_pins() or ())
+    set_threads(_blas_pins() or (), 1)
     try:
         return args.func(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:

@@ -64,12 +64,12 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analysis import certify_filtered, certify_unfiltered
 from .errors import ConsistencyError, NonMonotonePredicateError
 from .fileio import atomic_write_text, format_value
 from .filtering import CORRELATION_TABLE, FilteredAnalysis, FilterParams, filtered_bound
+from .optimizer import minimize
 from .seesaw import OracleConfig
 from .states import CHI_THETA, build_chi_state, build_ghz_noise_state
 from .svetlichny import BoundReport
@@ -98,9 +98,11 @@ NEWTON_TOL = 1e-20
 NEWTON_MAX_STEPS = 100
 
 # The kernel's leading value must match the filtered state's and respect the
-# physical maximum sqrt(2) of a three-qubit correlation singular value.
+# physical maximum sqrt(3) of a three-qubit correlation singular value: for a
+# unit b, sum_j b_j M_j is a difference of two weighted AC correlation
+# matrices, each of Frobenius norm at most sqrt(3). |Psi+>_AC |0>_B reaches it.
 KERNEL_CHECK_TOL = 1e-9
-MAX_LAMBDA1 = math.sqrt(2.0) + KERNEL_CHECK_TOL
+MAX_LAMBDA1 = math.sqrt(3.0) + KERNEL_CHECK_TOL
 
 # See-saw restarts per certification in a scan.
 ORACLE_RESTARTS = 8
@@ -332,14 +334,14 @@ def _x_state_path(rho: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.n
 def _checked(rho: np.ndarray, params: FilterParams, kernel_value: float) -> tuple[FilterParams, FilteredAnalysis]:
     """``params`` with the filtered state's analysis, once the kernel's lambda1 matches it.
 
-    A gap above 1e-9, or either value above sqrt(2) + 1e-9, raises ConsistencyError.
+    A gap above 1e-9, or either value above sqrt(3) + 1e-9, raises ConsistencyError.
     """
     fa = filtered_bound(rho, params.triple())
     gap = abs(kernel_value - fa.lambda1_prime)
     if gap > KERNEL_CHECK_TOL or max(kernel_value, fa.lambda1_prime) > MAX_LAMBDA1:
         raise ConsistencyError(
             f"filter kernel check failed: lambda1 {kernel_value!r} (kernel) vs {fa.lambda1_prime!r}"
-            " (filtered state); they must agree to 1e-9 and stay within sqrt(2) + 1e-9"
+            " (filtered state); they must agree to 1e-9 and stay within sqrt(3) + 1e-9"
         )
     return params, fa
 
@@ -358,7 +360,7 @@ def optimize_filter(rho: np.ndarray) -> tuple[FilterParams, FilteredAnalysis]:
 
     On either route the kernel's leading value at the returned filter is
     cross-checked against the filtered state's own correlation matrix: a gap
-    above 1e-9, or either value above sqrt(2) + 1e-9, raises
+    above 1e-9, or either value above sqrt(3) + 1e-9, raises
     ConsistencyError. A failed eigen-solve raises LinAlgError.
     """
     rho = np.asarray(rho)

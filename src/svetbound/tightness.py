@@ -36,9 +36,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import SVDResult
+from .optimizer import minimize
 from .seesaw import bilinear_value, correlation_tensor, update_b_pair
 from .svetlichny import CorrelationMatrix, MeasurementSettings
 

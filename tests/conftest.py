@@ -1,9 +1,9 @@
 import contextlib
-import ctypes
 
 import numpy as np
 import pytest
 
+from svetbound.blas import set_threads, thread_counts
 from svetbound.cli import _blas_pins
 
 
@@ -38,23 +38,17 @@ def _blas_pins_found() -> tuple[tuple[str, str], ...]:
 
 def openblas_threads() -> list[int]:
     """Thread count of every loaded OpenBLAS, read through its getter."""
-    counts = []
-    for path, setter in _blas_pins_found():
-        getter = getattr(ctypes.CDLL(path), setter.replace("_set_", "_get_"))
-        getter.restype = ctypes.c_int
-        counts.append(getter())
-    return counts
+    return thread_counts(_blas_pins_found())
 
 
 @contextlib.contextmanager
 def openblas_threads_set(count: int):
     """Every loaded OpenBLAS on ``count`` threads inside the block; the old counts restored after it."""
     pins = _blas_pins_found()
-    before = openblas_threads()
-    for path, setter in pins:
-        getattr(ctypes.CDLL(path), setter)(count)
+    before = thread_counts(pins)
+    set_threads(pins, count)
     try:
         yield
     finally:
-        for (path, setter), old in zip(pins, before):
-            getattr(ctypes.CDLL(path), setter)(old)
+        for pin, old in zip(pins, before):
+            set_threads((pin,), old)

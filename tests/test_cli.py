@@ -2,10 +2,14 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svetbound
 import svetbound.cli as cli_module
 import svetbound.scan as scan_module
 from conftest import openblas_threads, openblas_threads_set, random_density
@@ -204,6 +208,17 @@ class TestFilterCommand:
         fields = out_map(out)
         assert fields["filter"] == format_value({"x": params.x, "y": params.y, "z": params.z})
         assert fields["lambda1_prime"] == format_value(fa.lambda1_prime)
+
+    @pytest.mark.parametrize("occupied", [(1, 2, 4), (1, 4)], ids=["W", "psi-plus-AC-0-B"])
+    def test_optimize_reaches_sqrt3(self, capsys, tmp_path, occupied):
+        """W and |Psi+>_AC |0>_B reach lambda1 = sqrt(3), the physical maximum, and pass the kernel check."""
+        psi = np.zeros(8)
+        psi[list(occupied)] = 1.0 / math.sqrt(len(occupied))
+        path = tmp_path / "state.json"
+        save_state(np.outer(psi, psi), str(path))
+        code, out, err = run(capsys, ["filter", "--state", str(path), "--optimize"])
+        assert code == 0, err
+        assert float(out_map(out)["lambda1_prime"]) <= math.sqrt(3.0) + 1e-9
 
     def test_extreme_strengths_keep_nonnegative_normalization(self, capsys):
         """A filter near a projector: the canonical N is a sum of populations, not a cancellation."""
@@ -601,3 +616,52 @@ class TestErrorPaths:
     def test_unknown_flag_exit_2(self, capsys):
         code, _, _ = run(capsys, ["bound", "--frobnicate"])
         assert code == 2
+
+
+def run_fresh(script: str, *args: str, env: dict | None = None) -> str:
+    """Stdout of ``script`` run in a new interpreter that imports this checkout's svetbound."""
+    src = str(Path(svetbound.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestFreshProcess:
+    """What a new process pays for and pins; this test process has scipy loaded already."""
+
+    def test_scipy_optimize_not_imported(self):
+        """Neither the import nor a family command loads scipy.optimize."""
+        script = """
+import sys
+import svetbound, svetbound.cli
+assert "scipy.optimize" not in sys.modules, "import"
+for argv in (["bound", "--family", "ghz-noise", "--p", "0.8"], ["scan", "--figure", "fig2", "--p-grid", "0:1:0.1"]):
+    assert svetbound.cli.main(argv) == 0, argv
+    assert "scipy.optimize" not in sys.modules, argv
+"""
+        run_fresh(script)
+
+    def test_blas_loaded_by_the_box_search_runs_single_threaded(self, tmp_path):
+        """scipy's OpenBLAS, loaded after cli.main pinned the others, runs on one thread too.
+
+        The environment asks for 2 threads, which OpenBLAS reads as it loads.
+        """
+        path = tmp_path / "ginibre.json"
+        save_state(random_density(np.random.default_rng(1)), str(path))
+        script = """
+import json, sys
+import svetbound.cli as cli
+from svetbound.blas import loaded_openblas, thread_counts
+assert "scipy.optimize" not in sys.modules
+assert cli.main(["filter", "--state", sys.argv[1], "--optimize"]) == 0
+assert "scipy.optimize" in sys.modules
+print(json.dumps(thread_counts(loaded_openblas())))
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+        env.pop("OMP_NUM_THREADS", None)
+        counts = json.loads(run_fresh(script, str(path), env=env).splitlines()[-1])
+        assert counts and set(counts) == {1}

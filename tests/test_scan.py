@@ -321,7 +321,10 @@ class TestKernelReference:
     @pytest.mark.parametrize("point", [(-12.0, 6.0, 6.0), (-16.0, 8.0, 8.0)])
     @pytest.mark.parametrize("which", ["chi", "ghz-noise", "random"])
     def test_extreme_strengths(self, which, point):
-        """Far outside the box, where the monomials span up to 64 decades, X/N stays accurate and lambda1 <= sqrt(2)."""
+        """Far outside the box, where the monomials span up to 64 decades, X/N stays accurate.
+
+        lambda1 also stays within sqrt(2) on these three states, inside the physical maximum sqrt(3).
+        """
         if which == "random":
             rho = random_density(np.random.default_rng(7))
         else:
@@ -598,7 +601,12 @@ class TestOptimizeFilter:
             optimize_filter(build_ghz_noise_state(0.5))
 
     def test_value_above_sqrt2_raises(self, monkeypatch):
-        """Two routes that agree still fail when they pass the physical maximum."""
+        """Two routes that agree still fail when they pass the physical maximum sqrt(3).
+
+        Pure GHZ sits at lambda1 = sqrt(2) on the identity filter, so the scaled
+        routes agree on 1.5 sqrt(2) ~ 2.12. At p = 0.5 they would give
+        1.5 * 2 / sqrt(3) = sqrt(3), exactly at the maximum.
+        """
         inner_kernel, inner_bound = scan_module._filter_kernel, scan_module.filtered_bound
 
         def scaled_kernel(rho):
@@ -614,7 +622,7 @@ class TestOptimizeFilter:
         monkeypatch.setattr(scan_module, "_filter_kernel", scaled_kernel)
         monkeypatch.setattr(scan_module, "filtered_bound", scaled_bound)
         with pytest.raises(ConsistencyError):
-            optimize_filter(build_ghz_noise_state(0.5))
+            optimize_filter(build_ghz_noise_state(1.0))
 
     def test_deterministic(self):
         rho = build_ghz_noise_state(0.4)
