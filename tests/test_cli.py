@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import svetbound
 import svetbound.cli as cli_module
 import svetbound.scan as scan_module
 from conftest import openblas_threads, openblas_threads_set, random_density
@@ -620,7 +619,7 @@ class TestErrorPaths:
 
 def run_fresh(script: str, *args: str, env: dict | None = None) -> str:
     """Stdout of ``script`` run in a new interpreter that imports this checkout's svetbound."""
-    src = str(Path(svetbound.__file__).resolve().parents[1])
+    src = str(Path(cli_module.__file__).resolve().parents[1])
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
