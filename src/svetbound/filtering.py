@@ -13,8 +13,9 @@ singular values.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,15 +78,36 @@ class FilterTriple:
 
     @classmethod
     def diagonal(cls, x: float, y: float, z: float) -> "FilterTriple":
-        """Filters diag(v, 1) scaling each party's |0> amplitude by v >= 0."""
+        """Filters diag(v, 1) scaling each party's |0> amplitude by v >= 0.
+
+        The spectral factors come in closed form: the identity with scales
+        (v, 1) when v >= 1, else the swap with scales (1/v, 1), or (1, 0) at
+        v = 0. They equal from_operators' eigen-solves bit for bit up to about
+        v = 1e146; above it LAPACK rescales the matrix and can move an
+        eigenvalue by one ulp, which the closed form does not.
+        """
+        ops, units, scales = [], [], []
         for name, value in (("x", x), ("y", y), ("z", z)):
             if not 0.0 <= value < np.inf:
                 raise ValueError(f"diagonal filter entry {name} must be finite and nonnegative, got {value}")
-        return cls.from_operators(np.diag([x, 1.0]), np.diag([y, 1.0]), np.diag([z, 1.0]))
+            ops.append(np.asarray(np.diag([value, 1.0]), dtype=complex))
+            if value >= 1.0:
+                units.append(np.eye(2, dtype=complex))
+                scales.append(np.array([value, 1.0]))
+            else:
+                units.append(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+                scales.append(np.array([1.0, value]) / value if value > 0.0 else np.array([1.0, 0.0]))
+        return cls(*ops, unitaries=tuple(units), scales=tuple(scales))
 
     @classmethod
     def identity(cls) -> "FilterTriple":
         return cls.diagonal(1.0, 1.0, 1.0)
+
+
+def _largest_eigenvalue(f: np.ndarray) -> float:
+    """Largest eigenvalue of a Hermitian 2x2 matrix in closed form; for a PSD filter, its spectral norm."""
+    a, d = float(f[0, 0].real), float(f[1, 1].real)
+    return (a + d) / 2.0 + math.hypot((a - d) / 2.0, abs(complex(f[0, 1])))
 
 
 def apply_filter(rho: np.ndarray, filters: FilterTriple) -> tuple[np.ndarray, float]:
@@ -98,9 +120,11 @@ def apply_filter(rho: np.ndarray, filters: FilterTriple) -> tuple[np.ndarray, fl
     with np.errstate(over="ignore", invalid="ignore"):
         big = tensor(filters.f_a, filters.f_b, filters.f_c)
         gram = big.conj().T @ big
-    if not np.isfinite(gram).all():
+    # ||F||_2^2, the tolerance scale: the norm of a Kronecker product is the product of the norms.
+    norm = _largest_eigenvalue(filters.f_a) * _largest_eigenvalue(filters.f_b) * _largest_eigenvalue(filters.f_c)
+    scale = norm * norm
+    if not (np.isfinite(gram).all() and math.isfinite(scale)):
         raise ValueError("filter strengths overflow F^dag F; use milder filters")
-    scale = float(np.linalg.norm(big, 2)) ** 2
     n = real_expectation(np.asarray(rho, dtype=complex), gram, scale=scale)
     if n <= ANNIHILATION_TOL:
         raise FilterAnnihilationError(f"filter normalization {n:.3e} is at or below {ANNIHILATION_TOL:g}")
@@ -162,22 +186,36 @@ class FilteredAnalysis:
     ``n`` is the literal normalization tr(F^dag F rho) that divides
     ``rho_prime``; ``n_factor`` is the canonical-scale normalization paired with
     ``x_matrix``; ``m_prime`` is the correlation matrix of the normalized
-    filtered state, and ``bound`` equals 4 * lambda1_prime.
+    filtered state, and ``bound`` equals 4 * lambda1_prime. ``rho`` is a copy
+    of the state as given and ``filters`` the filters applied to it.
+
+    ``x_matrix`` is computed on first read, from ``rho`` and ``filters``, and
+    kept: certifying the bound never reads it, so its errors (overflowing
+    scales, an imaginary residue) are raised on that read.
     """
 
     rho_prime: np.ndarray
     n: float
     n_factor: float
-    x_matrix: np.ndarray
     m_prime: CorrelationMatrix
     lambda1_prime: float
     bound: float
+    rho: np.ndarray = field(repr=False)
+    filters: FilterTriple = field(repr=False)
+
+    @functools.cached_property
+    def x_matrix(self) -> np.ndarray:
+        # The module-level x_matrix, looked up at call time, so a wrapper set on the module sees the call.
+        return x_matrix(self.rho, self.filters)
 
 
 def filtered_bound(rho: np.ndarray, filters: FilterTriple) -> FilteredAnalysis:
-    """Filtered singular-value bound via the normalized state's correlations."""
+    """Filtered singular-value bound via the normalized state's correlations.
+
+    The canonical normalization is computed here, not on first read, so
+    strengths that overflow it or annihilate the state raise at once.
+    """
     rho_prime, n_literal = apply_filter(rho, filters)
-    xm = x_matrix(rho, filters)
     n = canonical_normalization(rho, filters)
     if n <= ANNIHILATION_TOL:
         raise FilterAnnihilationError(f"canonical normalization {n:.3e} is at or below {ANNIHILATION_TOL:g}")
@@ -187,8 +225,9 @@ def filtered_bound(rho: np.ndarray, filters: FilterTriple) -> FilteredAnalysis:
         rho_prime=rho_prime,
         n=n_literal,
         n_factor=n,
-        x_matrix=xm,
         m_prime=m_prime,
         lambda1_prime=s1,
         bound=4.0 * s1,
+        rho=np.array(rho),
+        filters=filters,
     )

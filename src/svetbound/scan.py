@@ -65,7 +65,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .analysis import certify_filtered, certify_unfiltered
+# certify_filtered is not called here: a filtered point certifies the state
+# optimize_filter already filtered. The name stays bound because
+# bench/spans.py wraps svetbound.scan.certify_filtered.
+from .analysis import certify_filtered, certify_unfiltered  # noqa: F401
 from .errors import ConsistencyError, NonMonotonePredicateError
 from .fileio import atomic_write_text, format_value
 from .filtering import CORRELATION_TABLE, FilteredAnalysis, FilterParams, filtered_bound
@@ -469,13 +472,17 @@ class ActivationReport:
 
 
 def _certify_at(spec: ScanSpec, rho: np.ndarray, mode: str) -> tuple[BoundReport, FilterParams | None]:
-    """Certified report of ``rho`` as given (``mode`` "unfiltered") or under its optimized filter, and that filter."""
+    """Certified report of ``rho`` as given (``mode`` "unfiltered") or under its optimized filter, and that filter.
+
+    The filtered report certifies the normalized filtered state that
+    optimize_filter's analysis already holds, which gives certify_filtered's
+    report bit for bit without filtering the state again.
+    """
     config = OracleConfig(restarts=ORACLE_RESTARTS, seed=spec.seed)
     if mode == "unfiltered":
         return certify_unfiltered(rho, oracle_config=config), None
-    params, _ = optimize_filter(rho)
-    _, report = certify_filtered(rho, params.triple(), oracle_config=config)
-    return report, params
+    params, fa = optimize_filter(rho)
+    return certify_unfiltered(fa.rho_prime, oracle_config=config), params
 
 
 def _point_record(spec: ScanSpec, p: float) -> PointRecord:

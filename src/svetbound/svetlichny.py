@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SVDResult, pauli, pauli_moments, real_expectation, svd_3x9, tensor
+from .linalg import _SIGMA4, SVDResult, pauli_moments, real_expectation, svd_3x9
 
 SVETLICHNY_BOUND = 4.0
 ALGEBRAIC_MAX = 4.0 * math.sqrt(2.0)
@@ -82,20 +82,22 @@ def correlation_matrix(rho: np.ndarray) -> CorrelationMatrix:
     return CorrelationMatrix(matrix=m, svd=svd_3x9(m))
 
 
-def _bloch_observable(v: np.ndarray) -> np.ndarray:
-    return v[0] * pauli(1) + v[1] * pauli(2) + v[2] * pauli(3)
-
-
 def svetlichny_operator(settings: MeasurementSettings) -> np.ndarray:
-    """The 8x8 Svetlichny observable for the given settings."""
-    oa = _bloch_observable(settings.a)
-    oap = _bloch_observable(settings.a_prime)
-    ob = _bloch_observable(settings.b)
-    obp = _bloch_observable(settings.b_prime)
-    oc = _bloch_observable(settings.c)
-    ocp = _bloch_observable(settings.c_prime)
+    """The 8x8 Svetlichny observable for the given settings.
+
+    The sum A (x) (B + B') (x) C + A (x) (B - B') (x) C' + A' (x) (B - B') (x) C
+    - A' (x) (B + B') (x) C' of Bloch observables v . sigma, with its four
+    triple products formed as one batch, each as (A (x) B) (x) C.
+    """
+    vecs = np.stack([settings.a, settings.a_prime, settings.b, settings.b_prime, settings.c, settings.c_prime])
+    oa, oap, ob, obp, oc, ocp = np.tensordot(vecs, _SIGMA4[1:], axes=1)
     plus, minus = ob + obp, ob - obp
-    return tensor(oa, plus, oc) + tensor(oa, minus, ocp) + tensor(oap, minus, oc) - tensor(oap, plus, ocp)
+    first = np.stack([oa, oa, oap, oap])
+    second = np.stack([plus, minus, minus, plus])
+    third = np.stack([oc, ocp, oc, ocp])
+    pairs = (first[:, :, None, :, None] * second[:, None, :, None, :]).reshape(4, 4, 4)
+    terms = (pairs[:, :, None, :, None] * third[:, None, :, None, :]).reshape(4, 8, 8)
+    return terms[0] + terms[1] + terms[2] - terms[3]
 
 
 def svetlichny_value(rho: np.ndarray, settings: MeasurementSettings) -> float:

@@ -208,6 +208,29 @@ class TestFilterCommand:
         assert fields["filter"] == format_value({"x": params.x, "y": params.y, "z": params.z})
         assert fields["lambda1_prime"] == format_value(fa.lambda1_prime)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            *(["--family", family, "--p", p] for family in ("ghz-noise", "chi") for p in ("0.3", "0.5", "0.9")),
+            "ginibre",
+        ],
+        ids=lambda source: source if isinstance(source, str) else f"{source[1]}-{source[3]}",
+    )
+    def test_optimize_reports_as_explicit_strengths(self, capsys, tmp_path, source):
+        """--optimize reports what the explicit command reports at the strengths it prints."""
+        if source == "ginibre":
+            path = tmp_path / "ginibre.json"
+            save_state(random_density(np.random.default_rng(1)), str(path))
+            source = ["--state", str(path)]
+        optimized, explicit = tmp_path / "optimized.json", tmp_path / "explicit.json"
+        code, _, err = run(capsys, ["filter", *source, "--optimize", "--json", str(optimized)])
+        assert code == 0, err
+        strengths = json.loads(optimized.read_text())["filter"]
+        flags = [item for axis in "xyz" for item in (f"-{axis}", repr(strengths[axis]))]
+        code, _, err = run(capsys, ["filter", *source, *flags, "--json", str(explicit)])
+        assert code == 0, err
+        assert json.loads(explicit.read_text()) == json.loads(optimized.read_text())
+
     @pytest.mark.parametrize("occupied", [(1, 2, 4), (1, 4)], ids=["W", "psi-plus-AC-0-B"])
     def test_optimize_reaches_sqrt3(self, capsys, tmp_path, occupied):
         """W and |Psi+>_AC |0>_B reach lambda1 = sqrt(3), the physical maximum, and pass the kernel check."""

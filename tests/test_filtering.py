@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svetbound.filtering as filtering_module
 from conftest import random_density, random_psd_2x2
 from svetbound.errors import ConsistencyError, FilterAnnihilationError
 from svetbound.filtering import (
     FilterParams,
     FilterTriple,
+    _largest_eigenvalue,
     apply_filter,
     canonical_normalization,
     filtered_bound,
     x_matrix,
 )
-from svetbound.linalg import lorentz_map, pauli, pauli_moments
+from svetbound.linalg import lorentz_map, pauli, pauli_moments, tensor
 from svetbound.scan import optimize_filter
 from svetbound.states import build_chi_state, build_ghz_noise_state, validate_state
 from svetbound.svetlichny import correlation_block, correlation_matrix
@@ -80,6 +82,29 @@ class TestFilterTriple:
                 np.testing.assert_allclose(ratio.real * rebuilt, op, atol=1e-12)
                 assert s[1] in (0.0, 1.0) or s[1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "v", [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e-300, 0.3, 7.0, 1e100],
+    )
+    def test_diagonal_matches_eigen_solve(self, v):
+        """The closed-form spectral factors equal from_operators' eigen-solves bit for bit."""
+        ft = FilterTriple.diagonal(v, v, v)
+        ref = FilterTriple.from_operators(*[np.diag([v, 1.0])] * 3)
+        for got, want in zip((ft.f_a, ft.f_b, ft.f_c, *ft.unitaries, *ft.scales),
+                             (ref.f_a, ref.f_b, ref.f_c, *ref.unitaries, *ref.scales)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("v", [1e200, 1e300])
+    def test_diagonal_exact_where_eigen_solve_rounds(self, v):
+        """Above about 1e146 LAPACK rescales diag(v, 1) before its solve, which can move an
+        eigenvalue by one ulp; the closed form keeps the scales (v, 1) exactly."""
+        ft = FilterTriple.diagonal(v, v, v)
+        ref = FilterTriple.from_operators(*[np.diag([v, 1.0])] * 3)
+        for got, want in zip((ft.f_a, ft.f_b, ft.f_c, *ft.unitaries), (ref.f_a, ref.f_b, ref.f_c, *ref.unitaries)):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(ft.scales, ref.scales):
+            assert got.tobytes() == np.array([v, 1.0]).tobytes()
+            np.testing.assert_array_max_ulp(got, want, maxulp=1)
+
     def test_diagonal_rejects_negative(self):
         with pytest.raises(ValueError):
             FilterTriple.diagonal(-0.5, 1.0, 1.0)
@@ -115,6 +140,14 @@ class TestApplyFilter:
         with pytest.raises(FilterAnnihilationError):
             apply_filter(pure, FilterTriple.diagonal(0.0, 1.0, 1.0))
 
+    def test_tolerance_scale_is_the_operator_norm(self, rng):
+        """The closed-form ||F||_2 of the imaginary-residue guard is the 8x8 spectral norm."""
+        triples = [FilterTriple.from_operators(*(random_psd_2x2(rng) for _ in range(3))) for _ in range(50)]
+        triples += [FilterTriple.diagonal(*xyz) for xyz in [(1e-12, 1e6, 1e6), (1e7, 1e-7, 3.0), (0.0, 1.0, 2.0)]]
+        for ft in triples:
+            norm = math.prod(_largest_eigenvalue(f) for f in (ft.f_a, ft.f_b, ft.f_c))
+            assert norm == pytest.approx(np.linalg.norm(tensor(ft.f_a, ft.f_b, ft.f_c), 2), rel=1e-12)
+
 
 class TestFilteredSingularValues:
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
@@ -140,6 +173,41 @@ class TestFilteredSingularValues:
 
 
 class TestFilteredAnalysis:
+    def test_x_matrix_computed_once_on_first_read(self, monkeypatch, rng):
+        """x_matrix runs on the first read, through the module, from the state as it was given."""
+        rho = random_density(rng)
+        ft = FilterTriple.from_operators(*(random_psd_2x2(rng) for _ in range(3)))
+        want = x_matrix(rho, ft)
+        calls = []
+
+        def spy(rho, filters):
+            calls.append(filters)
+            return x_matrix(rho, filters)
+
+        monkeypatch.setattr(filtering_module, "x_matrix", spy)
+        fa = filtered_bound(rho, ft)
+        rho[:] = 0.0
+        assert calls == []
+        first = fa.x_matrix
+        assert fa.x_matrix is first
+        assert calls == [ft]
+        assert first.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "xyz", [(1e200, 1.0, 1.0), (1e-200, 1.0, 1.0), (1e60, 1e60, 1e60), (1e-100, 1e-100, 1e-100), (1e300, 1e300, 1e300)],
+    )
+    def test_unusable_strengths_raise(self, xyz):
+        """filtered_bound itself rejects the strengths the CLI turns into exit 2, without reading x_matrix."""
+        with pytest.raises(ValueError) as info:
+            filtered_bound(build_ghz_noise_state(0.5), FilterTriple.diagonal(*xyz))
+        assert not isinstance(info.value, FilterAnnihilationError)
+
+    def test_annihilated_state_raises(self):
+        pure = np.zeros((8, 8), dtype=complex)
+        pure[0, 0] = 1.0
+        with pytest.raises(FilterAnnihilationError):
+            filtered_bound(pure, FilterTriple.diagonal(0.0, 1.0, 1.0))
+
     @pytest.mark.parametrize("source", ["explicit", "optimized"])
     def test_literal_normalization(self, source):
         """``n`` is the normalization apply_filter divides by, so callers need no second call."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -15,12 +16,15 @@ from scipy.optimize import minimize as scipy_minimize
 
 import svetbound.scan as scan_module
 from conftest import random_density
+from svetbound.analysis import certify_filtered
 from svetbound.errors import ConsistencyError, NonMonotonePredicateError
 from svetbound.filtering import FilterTriple, filtered_bound
 from svetbound.linalg import _PAULI_PRODUCTS, pauli_moments
 from svetbound.scan import (
     BISECT_TOL,
+    FIGURE_FAMILY,
     FILTER_LOG_RANGE,
+    ORACLE_RESTARTS,
     REFINE_MAX_EVALS,
     REFINE_TOLS,
     PointRecord,
@@ -39,8 +43,9 @@ from svetbound.scan import (
     write_csv,
     write_json,
 )
+from svetbound.seesaw import OracleConfig
 from svetbound.states import CHI_THETA, build_chi_state, build_ghz_noise_state
-from svetbound.svetlichny import correlation_matrix
+from svetbound.svetlichny import BoundReport, MeasurementSettings, correlation_matrix
 
 SQ2 = math.sqrt(2.0)
 
@@ -878,6 +883,39 @@ class TestFigureData:
     def test_unknown_figure(self):
         with pytest.raises(ValueError, match="figure"):
             figure_data("fig3")
+
+
+def assert_same_report(got: BoundReport, want: BoundReport) -> None:
+    """Every field equal: numbers with ==, each setting vector with np.array_equal."""
+    for f in dataclasses.fields(BoundReport):
+        if f.name != "settings":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for f in dataclasses.fields(MeasurementSettings):
+        assert np.array_equal(getattr(got.settings, f.name), getattr(want.settings, f.name)), f.name
+
+
+class TestFilteredReuse:
+    """A filtered point certifies optimize_filter's filtered state: certify_filtered's report, bit for bit."""
+
+    @staticmethod
+    def certified_twice(spec: ScanSpec, rho: np.ndarray) -> tuple[BoundReport, BoundReport]:
+        report, params = scan_module._certify_at(spec, rho, "filtered")
+        config = OracleConfig(restarts=ORACLE_RESTARTS, seed=spec.seed)
+        _, want = certify_filtered(rho, params.triple(), oracle_config=config)
+        return report, want
+
+    @pytest.mark.parametrize("figure", ["fig1", "fig2"])
+    def test_default_grid(self, figure):
+        spec = ScanSpec(family=FIGURE_FAMILY[figure])
+        for p in spec.p_grid:
+            assert_same_report(*self.certified_twice(spec, build_family_state(spec.family, p)))
+
+    def test_box_search_state(self, refinements):
+        """A seeded Ginibre state is no X-state, and its nondegenerate bound is certified by the see-saw."""
+        report, want = self.certified_twice(ScanSpec(), random_density(np.random.default_rng(1)))
+        assert refinements
+        assert not report.tight
+        assert_same_report(report, want)
 
 
 def fake_record(p: float, before: bool = False, after: bool = False) -> PointRecord:

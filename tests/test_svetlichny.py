@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density
+from svetbound.linalg import pauli, tensor
 from svetbound.seesaw import bilinear_value, correlation_tensor, update_b_pair
 from svetbound.states import build_chi_state, build_ghz_noise_state
 from svetbound.svetlichny import (
@@ -78,7 +79,24 @@ class TestSettings:
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
 
 
+def chained_operator(s: MeasurementSettings) -> np.ndarray:
+    """The Svetlichny operator from six Bloch observables and four chained tensor products."""
+    oa, oap, ob, obp, oc, ocp = (
+        v[0] * pauli(1) + v[1] * pauli(2) + v[2] * pauli(3)
+        for v in (s.a, s.a_prime, s.b, s.b_prime, s.c, s.c_prime)
+    )
+    plus, minus = ob + obp, ob - obp
+    return tensor(oa, plus, oc) + tensor(oa, minus, ocp) + tensor(oap, minus, oc) - tensor(oap, plus, ocp)
+
+
 class TestValueRoutes:
+    def test_operator_matches_chained_tensors(self, rng):
+        """The batched operator equals the chained-tensor formula bit for bit."""
+        axes = np.eye(3)
+        cases = [MeasurementSettings(*axes[[0, 1, 2, 0, 1, 2]]), *(MeasurementSettings.random(rng) for _ in range(500))]
+        for s in cases:
+            assert np.array_equal(svetlichny_operator(s), chained_operator(s))
+
     def test_operator_is_hermitian(self, rng):
         s = MeasurementSettings.random(rng)
         op = svetlichny_operator(s)
