@@ -119,7 +119,8 @@ def apply_filter(rho: np.ndarray, filters: FilterTriple) -> tuple[np.ndarray, fl
     """
     with np.errstate(over="ignore", invalid="ignore"):
         big = tensor(filters.f_a, filters.f_b, filters.f_c)
-        gram = big.conj().T @ big
+        big_h = big.conj().T
+        gram = big_h @ big
     # ||F||_2^2, the tolerance scale: the norm of a Kronecker product is the product of the norms.
     norm = _largest_eigenvalue(filters.f_a) * _largest_eigenvalue(filters.f_b) * _largest_eigenvalue(filters.f_c)
     scale = norm * norm
@@ -128,7 +129,7 @@ def apply_filter(rho: np.ndarray, filters: FilterTriple) -> tuple[np.ndarray, fl
     n = real_expectation(np.asarray(rho, dtype=complex), gram, scale=scale)
     if n <= ANNIHILATION_TOL:
         raise FilterAnnihilationError(f"filter normalization {n:.3e} is at or below {ANNIHILATION_TOL:g}")
-    rho_prime = big @ rho @ big.conj().T / n
+    rho_prime = big @ rho @ big_h / n
     rho_prime = (rho_prime + rho_prime.conj().T) / 2.0
     return rho_prime, n
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,23 +32,32 @@ def pauli(index: int) -> np.ndarray:
     return _SIGMA4[index].copy()
 
 
+@functools.lru_cache(maxsize=None)
+def _kron_axes(nd: int, count: int) -> tuple[tuple, ...]:
+    """Per factor, the index that puts its axis d at position d * count + k of the product."""
+    return tuple(tuple(slice(None) if i % count == k else None for i in range(nd * count)) for k in range(count))
+
+
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of the given operators, leftmost factor most significant.
 
-    Equal to chained np.kron, product for product, built from outer products,
-    which cost a fraction of np.kron's overhead on 2x2 factors.
+    Equal to chained np.kron, product for product: one broadcast product
+    ((f_1 f_2) f_3) ... over axes that interleave the factors' own, then one
+    reshape, which costs a fraction of np.kron's overhead on 2x2 factors.
     """
     if not ops:
         raise ValueError("tensor() needs at least one operator")
-    out = np.asarray(ops[0])
-    for op in ops[1:]:
-        op = np.asarray(op)
-        nd = out.ndim
+    ops = [np.asarray(op) for op in ops]
+    nd, count = ops[0].ndim, len(ops)
+    for op in ops:
         if op.ndim != nd:
             raise ValueError(f"tensor() factors must share a dimension count, got {nd} and {op.ndim}")
-        pairs = np.multiply.outer(out, op).transpose([i for k in range(nd) for i in (k, nd + k)])
-        out = pairs.reshape([a * b for a, b in zip(out.shape, op.shape)])
-    return out
+    axes = _kron_axes(nd, count)
+    out = ops[0][axes[0]]
+    for op, index in zip(ops[1:], axes[1:]):
+        out = out * op[index]
+    shape = out.shape
+    return out.reshape([math.prod(shape[d * count : (d + 1) * count]) for d in range(nd)])
 
 
 # All 64 products sigma_a (x) sigma_b (x) sigma_c, (a, b, c) in lexicographic order.

@@ -5,17 +5,26 @@ unit vectors for one party is a normalized linear image of the correlation
 tensor, so every update is monotone and the sweep limit is a safety cap, not
 a tuning knob. Restarts guard against the rare poor basin.
 
-All starts advance together. The seeded random restarts are stacked as six
-(R, 3) blocks of Bloch vectors, and one sweep updates every row with matmuls
-against 9x3 layouts of the tensor. A convergence mask drops a row from the
-active blocks once its own gain in a sweep falls below CONVERGENCE_TOL; its
-vectors and value are frozen from then on, so each start ends where it would
-end alone. The update functions broadcast over a leading axis, so single (3,)
-vectors work as well.
+All starts advance together, in place, on one contiguous (3, 2R) float block
+per party whose columns interleave each start's x_r and x'_r. The block's
+complex view is x + ix', so its conjugate x - ix' and (1 + i) times that
+conjugate, (x + x') + i(x - x'), are exact factors: an update takes the first
+from one fixed party and the second from the other, and one matmul of a 3x9
+layout of the tensor against their outer product gives the free party's two
+images already in the block layout. A start stops once its own gain in a
+sweep falls below CONVERGENCE_TOL: from then on its columns are frozen (the
+updates skip them), so its vectors, its value and its sweep count are the
+ones it stopped with, and each start ends where it would end alone. The
+seeded starts depend only on (restarts, seed); they are drawn once, kept
+read-only in a small cache, and copied per call.
+
+The public update functions are adapters over the same routine and broadcast
+over a leading axis, so single (3,) vectors work as well.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +37,13 @@ DEGENERATE_DIRECTION_TOL = 1e-12
 CONVERGENCE_TOL = 1e-12
 # Starts are allocated up front as R x 6 x 3 floats: 100 000 starts take 14 MB.
 MAX_RESTARTS = 100_000
+# Start blocks kept for distinct (restarts, seed) pairs, each at most 14 MB.
+START_CACHE_SIZE = 4
+
+# Axis orders of t that leave party A, B or C free: rows of the (9, 3) layout
+# run over 3 * (z index) + (w index), columns over the free party's index.
+_LAYOUT_AXES = ((2, 1, 0), (0, 2, 1), (0, 1, 2))
+_TWIST = 1.0 + 1.0j
 
 
 def correlation_tensor(m: np.ndarray) -> np.ndarray:
@@ -35,48 +51,59 @@ def correlation_tensor(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(m, dtype=float).reshape(3, 3, 3).transpose(1, 0, 2))
 
 
-def _columns(v: np.ndarray) -> np.ndarray:
-    """A (..., 3) block as a (3, N) array, one column per batch row."""
-    return v.reshape(-1, 3).T
+def _layout(t: np.ndarray, party: int) -> np.ndarray:
+    """The (3, 9) matrix that maps an outer product z w^T to party ``party``'s images."""
+    return t.transpose(_LAYOUT_AXES[party]).reshape(9, 3).T
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    # Filling both parts costs about half of `re + 1j * im` on blocks this small.
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
+def _conj(block: np.ndarray) -> np.ndarray:
+    """z = x - ix' for a C-contiguous (3, 2N) block, as (3, N) complex."""
+    return np.conj(block.view(complex))
 
 
-def _pair_images(x, xp, y, yp, layout) -> np.ndarray:
-    """Both unnormalized images of the party that ``layout`` leaves free.
+def _images(layout: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Both unnormalized images of the free party, as a (3, 2N) block.
 
     The images are t contracted with x(y + y') + x'(y - y') and with
     x(y - y') - x'(y + y'): the real and imaginary parts of t contracted with
-    (x - ix')(y + y' + i(y - y')). ``layout`` is a 9x3 view of t whose rows run
-    over 3 * (x index) + (y index). Returns (3, 2N), the two images interleaved.
+    z w, where z = x - ix' and w = (1 + i)(y - iy') = y + y' + i(y - y').
     """
-    x, xp, y, yp = _columns(x), _columns(xp), _columns(y), _columns(yp)
-    z = _complex(x, -xp)
-    w = _complex(y + yp, y - yp)
     outer = np.multiply(z[:, None], w[None], order="C")
-    return layout.T @ outer.reshape(9, -1).view(float)
+    return layout @ outer.reshape(9, -1).view(float)
 
 
-def _normalized_pair(images: np.ndarray, previous):
-    """Unit vectors along both images; a near-zero image keeps its previous value."""
-    norms = np.sqrt((images * images).sum(axis=0))
+def _update(layout, z, w, out, live=None) -> np.ndarray:
+    """Normalize the images into ``out`` in place and return the raw images.
+
+    A column whose image is shorter than DEGENERATE_DIRECTION_TOL, or that
+    ``live`` leaves out, keeps the vector ``out`` holds.
+    """
+    images = _images(layout, z, w)
+    norms = np.sqrt(np.add.reduce(images * images, axis=0))
     usable = norms > DEGENERATE_DIRECTION_TOL
-    if not usable.all():
-        images = np.where(usable, images, np.stack([_columns(p) for p in previous], -1).reshape(3, -1))
-        norms = np.where(usable, norms, 1.0)
-    units = images / norms
-    shape = previous[0].shape
-    return units[:, 0::2].T.reshape(shape), units[:, 1::2].T.reshape(shape)
+    if live is not None:
+        usable &= live
+    np.divide(images, norms, out=out, where=usable)
+    return images
 
 
-def _paired_value(images: np.ndarray, c: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """The expectation per column: c and c' against the images of C's update."""
-    return (_columns(c) * images[:, 0::2] + _columns(cp) * images[:, 1::2]).sum(axis=0)
+def _value(c: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The expectation per start: c and c' against C's raw images, summed over axis 0."""
+    terms = c * images
+    return np.add.reduce(terms[:, 0::2] + terms[:, 1::2], axis=0)
+
+
+def _block(x, xp) -> np.ndarray:
+    """Two (..., 3) vector stacks as one (3, 2N) block, x and x' interleaved."""
+    return np.ascontiguousarray(np.array((x, xp), dtype=float).reshape(2, -1, 3).T).reshape(3, -1)
+
+
+def _pair_update(t, party, x, xp, y, yp, previous):
+    """Party ``party``'s updated pair from the z pair (x, x') and the w pair (y, y')."""
+    out = _block(*previous)
+    _update(_layout(t, party), _conj(_block(x, xp)), _TWIST * _conj(_block(y, yp)), out)
+    shape = np.shape(previous[0])
+    return out[:, 0::2].T.reshape(shape), out[:, 1::2].T.reshape(shape)
 
 
 def bilinear_value(t, a, ap, b, bp, c, cp):
@@ -84,27 +111,21 @@ def bilinear_value(t, a, ap, b, bp, c, cp):
 
     A float for single vectors; one value per row for (R, 3) blocks.
     """
-    value = _paired_value(_pair_images(a, ap, b, bp, t.reshape(9, 3)), c, cp)
-    return float(value[0]) if a.ndim == 1 else value.reshape(a.shape[:-1])
-
-
-def update_b_pair(t, a, ap, c, cp, previous):
-    return _normalized_pair(_pair_images(a, ap, c, cp, t.transpose(0, 2, 1).reshape(9, 3)), previous)
+    images = _images(_layout(t, 2), _conj(_block(a, ap)), _TWIST * _conj(_block(b, bp)))
+    value = _value(_block(c, cp), images)
+    return float(value[0]) if np.ndim(a) == 1 else value.reshape(np.shape(a)[:-1])
 
 
 def update_a_pair(t, b, bp, c, cp, previous):
-    return _normalized_pair(_pair_images(c, cp, b, bp, t.transpose(2, 1, 0).reshape(9, 3)), previous)
+    return _pair_update(t, 0, c, cp, b, bp, previous)
 
 
-def _update_c_with_value(t, a, ap, b, bp, previous):
-    """C's update and the expectation it reaches, equal to bilinear_value bit for bit."""
-    images = _pair_images(a, ap, b, bp, t.reshape(9, 3))
-    c, cp = _normalized_pair(images, previous)
-    return c, cp, _paired_value(images, c, cp)
+def update_b_pair(t, a, ap, c, cp, previous):
+    return _pair_update(t, 1, a, ap, c, cp, previous)
 
 
 def update_c_pair(t, a, ap, b, bp, previous):
-    return _update_c_with_value(t, a, ap, b, bp, previous)[:2]
+    return _pair_update(t, 2, a, ap, b, bp, previous)
 
 
 @dataclass
@@ -147,6 +168,30 @@ def _starts(restarts: int, seed: int) -> np.ndarray:
     return drawn
 
 
+def _party_blocks(starts: np.ndarray) -> np.ndarray:
+    """(R, 6, 3) starts as a (3, 3, 2R) array: per party, x_r and x'_r in columns 2r and 2r + 1."""
+    restarts = len(starts)
+    return np.ascontiguousarray(starts.reshape(restarts, 3, 2, 3).transpose(1, 3, 0, 2)).reshape(3, 3, 2 * restarts)
+
+
+@functools.lru_cache(maxsize=START_CACHE_SIZE)
+def _cached_start_blocks(restarts: int, seed: int) -> np.ndarray:
+    blocks = _party_blocks(_starts(restarts, seed))
+    blocks.flags.writeable = False
+    return blocks
+
+
+def _start_blocks(restarts: int, seed) -> np.ndarray:
+    """The party blocks of ``_starts(restarts, seed)``, as a fresh writable array.
+
+    An integer seed reads them from the cache; any other seed (None draws
+    fresh entropy) draws them anew.
+    """
+    if isinstance(seed, (int, np.integer)):
+        return _cached_start_blocks(restarts, int(seed)).copy()
+    return _party_blocks(_starts(restarts, seed))
+
+
 def seesaw_from_matrix(m: np.ndarray, config: OracleConfig | None = None) -> OracleResult:
     """See-saw driven by an already-computed correlation matrix.
 
@@ -161,36 +206,35 @@ def seesaw_from_matrix(m: np.ndarray, config: OracleConfig | None = None) -> Ora
     if config.max_sweeps < 1:
         raise ValueError(f"see-saw needs max_sweeps >= 1, got {config.max_sweeps}")
     t = correlation_tensor(m)
-    # ends[r] holds start r's six vectors, overwritten with its final ones once it stops.
-    ends = _starts(config.restarts, config.seed)
-    values = np.empty(len(ends))
-    sweeps = np.full(len(ends), config.max_sweeps)
-    converged = np.zeros(len(ends), dtype=bool)
-    active = np.arange(len(ends))
-    a, ap, b, bp, c, cp = ends.transpose(1, 0, 2)
-    prev = bilinear_value(t, a, ap, b, bp, c, cp)
-    for sweep in range(1, config.max_sweeps + 1):
-        b, bp = update_b_pair(t, a, ap, c, cp, previous=(b, bp))
-        a, ap = update_a_pair(t, b, bp, c, cp, previous=(a, ap))
-        c, cp, value = _update_c_with_value(t, a, ap, b, bp, previous=(c, cp))
+    lay_a, lay_b, lay_c = (_layout(t, party) for party in range(3))
+    blocks = _start_blocks(config.restarts, config.seed)
+    a, b, c = blocks
+    prev = _value(c, _images(lay_c, _conj(a), _TWIST * _conj(b)))
+    # Sweeps each start has begun: a start that stops at sweep s reads s, and
+    # one still running after the last sweep reads max_sweeps + 1 until capped.
+    sweeps = np.ones(config.restarts, dtype=int)
+    live = None
+    for _ in range(config.max_sweeps):
+        # C's conjugate serves B's update and A's; B's twisted conjugate serves A's and C's.
+        zc = _conj(c)
+        _update(lay_b, _conj(a), _TWIST * zc, b, live)
+        wb = _TWIST * _conj(b)
+        _update(lay_a, zc, wb, a, live)
+        value = _value(c, _update(lay_c, _conj(a), wb, c, live))
+        # A stopped start is frozen, so its value repeats exactly and it stays stopped.
         done = value - prev < CONVERGENCE_TOL
         prev = value
-        if done.any():
-            stopped, keep = active[done], ~done
-            ends[stopped] = np.stack([a, ap, b, bp, c, cp], axis=1)[done]
-            values[stopped], sweeps[stopped], converged[stopped] = value[done], sweep, True
-            active, prev = active[keep], prev[keep]
-            a, ap, b, bp, c, cp = a[keep], ap[keep], b[keep], bp[keep], c[keep], cp[keep]
-            if not active.size:
-                break
-    ends[active] = np.stack([a, ap, b, bp, c, cp], axis=1)
-    values[active] = prev
+        if done.all():
+            break
+        running = ~done
+        sweeps += running
+        live = np.repeat(running, 2)
 
-    best = int(np.argmax(values))
-    settings = MeasurementSettings(*ends[best].copy())
+    best = int(np.argmax(prev))
+    settings = MeasurementSettings(*blocks[:, :, 2 * best : 2 * best + 2].transpose(0, 2, 1).reshape(6, 3))
     return OracleResult(
-        value=float(values[best]),
+        value=float(prev[best]),
         settings=settings,
-        sweeps_used=int(sweeps[best]),
-        converged=bool(converged[best]),
+        sweeps_used=min(int(sweeps[best]), config.max_sweeps),
+        converged=bool(done[best]),
     )

@@ -128,11 +128,12 @@ def load_state(path: str) -> np.ndarray:
         raise StateFormatError(f"only dim={STATE_DIM} states are supported, got {payload['dim']}")
     rho = _parse_part(payload, "re") + 1j * _parse_part(payload, "im")
 
-    herm = np.abs(rho - rho.conj().T).max()
+    rho_h = rho.conj().T
+    herm = np.abs(rho - rho_h).max()
     if herm > REPAIR_TOL:
         raise PhysicalityError(f"hermiticity residual {herm:.3e} exceeds repair tolerance {REPAIR_TOL:g}")
     trace_dev = abs(rho.trace() - 1.0)
     if trace_dev > REPAIR_TOL:
         raise PhysicalityError(f"trace deviates by {trace_dev:.6g}")
-    rho = (rho + rho.conj().T) / 2.0
+    rho = (rho + rho_h) / 2.0
     return validate_state(rho / rho.trace().real)

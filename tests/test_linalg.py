@@ -47,6 +47,27 @@ class TestTensor:
         a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
         np.testing.assert_allclose(tensor(a, b, c), np.kron(np.kron(a, b), c))
 
+    def test_equals_chained_kron_bit_for_bit(self, rng):
+        """2x2 complex factors, 1-D scales over a wide range, and unequal shapes, two to four factors."""
+        for k in range(300):
+            count = 2 + k % 3
+            if k % 3 == 0:
+                ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(count)]
+            elif k % 3 == 1:
+                ops = [rng.normal(size=2) * 10.0 ** rng.uniform(-100, 100, size=2) for _ in range(count)]
+            else:
+                ops = [rng.normal(size=tuple(rng.integers(1, 4, size=2))) for _ in range(count)]
+            want = ops[0]
+            for op in ops[1:]:
+                want = np.kron(want, op)
+            got = tensor(*ops)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_mixed_dimension_counts_rejected(self):
+        with pytest.raises(ValueError, match="got 2 and 1"):
+            tensor(np.eye(2), np.ones(2))
+
     def test_single_factor(self):
         a = np.arange(4).reshape(2, 2)
         np.testing.assert_allclose(tensor(a), a)

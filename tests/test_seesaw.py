@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density
+import svetbound.seesaw as seesaw_module
+from conftest import random_density, random_psd_2x2
+from svetbound.filtering import FilterTriple, filtered_bound
 from svetbound.seesaw import (
     CONVERGENCE_TOL,
+    DEGENERATE_DIRECTION_TOL,
     MAX_RESTARTS,
+    START_CACHE_SIZE,
     OracleConfig,
+    _start_blocks,
     _starts,
     bilinear_value,
     correlation_tensor,
@@ -192,3 +197,192 @@ class TestBatchedSweep:
     def test_restarts_out_of_range(self, restarts):
         with pytest.raises(ValueError, match="between 1 and"):
             seesaw_from_matrix(np.eye(3, 9), OracleConfig(restarts=restarts))
+
+
+# A copy of the previous batched see-saw, kept as the reference the in-place
+# kernel must equal bit for bit: (R, 3) blocks, complex factors filled part by
+# part, and the active rows compacted whenever one stops.
+
+
+def _ref_columns(v):
+    return v.reshape(-1, 3).T
+
+
+def _ref_complex(re, im):
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _ref_pair_images(x, xp, y, yp, layout):
+    x, xp, y, yp = _ref_columns(x), _ref_columns(xp), _ref_columns(y), _ref_columns(yp)
+    z = _ref_complex(x, -xp)
+    w = _ref_complex(y + yp, y - yp)
+    outer = np.multiply(z[:, None], w[None], order="C")
+    return layout.T @ outer.reshape(9, -1).view(float)
+
+
+def _ref_normalized_pair(images, previous):
+    norms = np.sqrt((images * images).sum(axis=0))
+    usable = norms > DEGENERATE_DIRECTION_TOL
+    if not usable.all():
+        images = np.where(usable, images, np.stack([_ref_columns(p) for p in previous], -1).reshape(3, -1))
+        norms = np.where(usable, norms, 1.0)
+    units = images / norms
+    shape = previous[0].shape
+    return units[:, 0::2].T.reshape(shape), units[:, 1::2].T.reshape(shape)
+
+
+def _ref_paired_value(images, c, cp):
+    return (_ref_columns(c) * images[:, 0::2] + _ref_columns(cp) * images[:, 1::2]).sum(axis=0)
+
+
+def reference_seesaw(m, config):
+    """Per start: final value, six vectors (R, 6, 3), sweeps used and whether it converged."""
+    t = correlation_tensor(m)
+    ends = _starts(config.restarts, config.seed)
+    values = np.empty(len(ends))
+    sweeps = np.full(len(ends), config.max_sweeps)
+    converged = np.zeros(len(ends), dtype=bool)
+    active = np.arange(len(ends))
+    a, ap, b, bp, c, cp = ends.transpose(1, 0, 2)
+    prev = _ref_paired_value(_ref_pair_images(a, ap, b, bp, t.reshape(9, 3)), c, cp)
+    for sweep in range(1, config.max_sweeps + 1):
+        b, bp = _ref_normalized_pair(_ref_pair_images(a, ap, c, cp, t.transpose(0, 2, 1).reshape(9, 3)), (b, bp))
+        a, ap = _ref_normalized_pair(_ref_pair_images(c, cp, b, bp, t.transpose(2, 1, 0).reshape(9, 3)), (a, ap))
+        images = _ref_pair_images(a, ap, b, bp, t.reshape(9, 3))
+        c, cp = _ref_normalized_pair(images, (c, cp))
+        value = _ref_paired_value(images, c, cp)
+        done = value - prev < CONVERGENCE_TOL
+        prev = value
+        if done.any():
+            stopped, keep = active[done], ~done
+            ends[stopped] = np.stack([a, ap, b, bp, c, cp], axis=1)[done]
+            values[stopped], sweeps[stopped], converged[stopped] = value[done], sweep, True
+            active, prev = active[keep], prev[keep]
+            a, ap, b, bp, c, cp = a[keep], ap[keep], b[keep], bp[keep], c[keep], cp[keep]
+            if not active.size:
+                break
+    ends[active] = np.stack([a, ap, b, bp, c, cp], axis=1)
+    values[active] = prev
+    return values, ends, sweeps, converged
+
+
+def assert_matches_reference(m, config):
+    """The kernel's result equals the reference's best start: numbers with ==, vectors with array_equal."""
+    values, ends, sweeps, converged = reference_seesaw(m, config)
+    best = int(np.argmax(values))
+    result = seesaw_from_matrix(m, config)
+    assert result.value == values[best]
+    assert result.sweeps_used == sweeps[best]
+    assert result.converged == converged[best]
+    got = [result.settings.a, result.settings.a_prime, result.settings.b,
+           result.settings.b_prime, result.settings.c, result.settings.c_prime]
+    for vector, want in zip(got, ends[best]):
+        assert np.array_equal(vector, want)
+    return values, converged
+
+
+def seeded_matrices(count):
+    """Correlation matrices of seeded Ginibre states, each under a random general PSD filter triple."""
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        rho = random_density(rng)
+        filters = FilterTriple.from_operators(*(random_psd_2x2(rng) for _ in range(3)))
+        yield filtered_bound(rho, filters).m_prime.matrix
+
+
+class TestKernelMatchesReference:
+    """The in-place kernel against the previous batched see-saw, bit for bit."""
+
+    @pytest.mark.parametrize("restarts, seed", [(100, 42), (8, "per-state"), (20, 11)])
+    def test_seeded_states(self, restarts, seed):
+        """300 filtered Ginibre states; "per-state" seeds state k with k, which cycles the start cache."""
+        for k, m in enumerate(seeded_matrices(300)):
+            assert_matches_reference(m, OracleConfig(restarts=restarts, seed=k if seed == "per-state" else seed))
+
+    def test_unfiltered_states(self, rng):
+        """Unfiltered Ginibre states, whose slowest starts run for hundreds of sweeps."""
+        for _ in range(10):
+            assert_matches_reference(correlation_matrix(random_density(rng)).matrix, OracleConfig(restarts=20, seed=11))
+
+    def test_zero_tensor(self):
+        """Every image vanishes: each start keeps its vectors and stops at sweep 1 with value 0."""
+        values, converged = assert_matches_reference(np.zeros((3, 9)), OracleConfig(restarts=10, seed=4))
+        assert (values == 0.0).all() and converged.all()
+
+    def test_rank_one_tensor_with_degenerate_rows(self, monkeypatch):
+        """t = u (x) v (x) w with u normal to start 0's A pair and w to start 1's C pair.
+
+        Both starts' first B images vanish to rounding, below DEGENERATE_DIRECTION_TOL,
+        so those rows keep their B vectors while the others move.
+        """
+        shortest = []
+        images = seesaw_module._images
+
+        def spy(layout, z, w):
+            out = images(layout, z, w)
+            shortest.append(np.sqrt((out * out).sum(axis=0)).min())
+            return out
+
+        monkeypatch.setattr(seesaw_module, "_images", spy)
+        config = OracleConfig(restarts=10, seed=6)
+        starts = _starts(config.restarts, config.seed)
+        u, w = np.cross(starts[0, 0], starts[0, 1]), np.cross(starts[1, 4], starts[1, 5])
+        t = np.einsum("i,j,k->ijk", u, np.random.default_rng(3).normal(size=3), w)
+        m = t.transpose(1, 0, 2).reshape(3, 9)
+        np.testing.assert_array_equal(correlation_tensor(m), t)
+        assert_matches_reference(m, config)
+        assert min(shortest) <= DEGENERATE_DIRECTION_TOL
+
+    def test_one_sweep_cap_where_no_start_converges(self):
+        m = next(seeded_matrices(1))
+        config = OracleConfig(restarts=20, seed=11, max_sweeps=1)
+        _, converged = assert_matches_reference(m, config)
+        assert not converged.any()
+        result = seesaw_from_matrix(m, config)
+        assert result.sweeps_used == 1 and not result.converged
+
+
+class TestStartCache:
+    def test_blocks_hold_the_starts(self):
+        """Party k's block holds start r's two vectors in columns 2r and 2r + 1."""
+        starts = _starts(7, 5)
+        blocks = _start_blocks(7, 5)
+        assert blocks.shape == (3, 3, 14)
+        for party in range(3):
+            np.testing.assert_array_equal(blocks[party][:, 0::2].T, starts[:, 2 * party])
+            np.testing.assert_array_equal(blocks[party][:, 1::2].T, starts[:, 2 * party + 1])
+
+    def test_fresh_writable_copy_each_call(self):
+        first = _start_blocks(12, 9)
+        want = first.copy()
+        assert first.flags.writeable
+        first[...] = 0.0
+        second = _start_blocks(12, 9)
+        assert second is not first and second.flags.writeable
+        np.testing.assert_array_equal(second, want)
+
+    def test_results_repeat_after_a_call_mutates_its_starts(self):
+        m = next(seeded_matrices(1))
+        config = OracleConfig(restarts=15, seed=2)
+        before = seesaw_from_matrix(m, config)
+        blocks = _start_blocks(15, 2)
+        blocks[...] = np.nan
+        after = seesaw_from_matrix(m, config)
+        assert after.value == before.value
+        np.testing.assert_array_equal(after.settings.c_prime, before.settings.c_prime)
+
+    def test_size_is_bounded(self):
+        for seed in range(1000, 1000 + 3 * START_CACHE_SIZE):
+            _start_blocks(3, seed)
+        info = seesaw_module._cached_start_blocks.cache_info()
+        assert info.maxsize == START_CACHE_SIZE
+        assert info.currsize <= START_CACHE_SIZE
+
+    def test_non_integer_seed_is_not_cached(self):
+        """A seed of None draws fresh entropy on every call, as numpy's generator does."""
+        seesaw_module._cached_start_blocks.cache_clear()
+        first, second = _start_blocks(4, None), _start_blocks(4, None)
+        assert not np.array_equal(first, second)
+        assert seesaw_module._cached_start_blocks.cache_info().currsize == 0
