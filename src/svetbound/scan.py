@@ -50,11 +50,8 @@ point reused, which changes no result.
 A scan (figure_data, threshold_bisect) runs in the calling process. It
 certifies its p grid in p order, refuses a grid whose predicate changes sign
 more than once, and then bisects each remaining sign change, one mode after
-the other. A predicate step (a bisection midpoint, or a grid point of a
-single-mode scan) whose bound is at most 4 - 9e-9 is settled False by the
-bound alone: a certified achieved value exceeds its bound by at most 1e-8.
-Every point is seeded from its arguments alone, so the results, and the
-error a scan raises, do not depend on the number of cores.
+the other. Every point is seeded from its arguments alone, so the results,
+and the error a scan raises, do not depend on the number of cores.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ from .filtering import CORRELATION_TABLE, FilteredAnalysis, FilterParams, filter
 from .optimizer import minimize
 from .seesaw import OracleConfig
 from .states import CHI_THETA, build_chi_state, build_ghz_noise_state
-from .svetlichny import SVETLICHNY_BOUND, VIOLATION_MARGIN, BoundReport, unfiltered_bound
+from .svetlichny import BoundReport
 
 BISECT_TOL = 1e-4
 
@@ -112,11 +109,6 @@ MAX_LAMBDA1 = math.sqrt(3.0) + KERNEL_CHECK_TOL
 
 # See-saw restarts per certification in a scan.
 ORACLE_RESTARTS = 8
-
-# A certified achieved value exceeds its bound by at most criterion 4's 1e-8,
-# so a bound at most 4 + VIOLATION_MARGIN - 1e-8 = 4 - 9e-9 cannot violate.
-CERTIFIED_EXCESS_TOL = 1e-8
-NO_VIOLATION_BOUND = SVETLICHNY_BOUND + VIOLATION_MARGIN - CERTIFIED_EXCESS_TOL
 
 # Known boundary of the bilocal-model region for the chi family, quoted from
 # tabulated two-qubit results. Used only to annotate the activation window;
@@ -479,10 +471,6 @@ class ActivationReport:
     annotations: dict
 
 
-def _oracle_config(spec: ScanSpec) -> OracleConfig:
-    return OracleConfig(restarts=ORACLE_RESTARTS, seed=spec.seed)
-
-
 def _certify_at(spec: ScanSpec, rho: np.ndarray, mode: str) -> tuple[BoundReport, FilterParams | None]:
     """Certified report of ``rho`` as given (``mode`` "unfiltered") or under its optimized filter, and that filter.
 
@@ -490,10 +478,11 @@ def _certify_at(spec: ScanSpec, rho: np.ndarray, mode: str) -> tuple[BoundReport
     optimize_filter's analysis already holds, which gives certify_filtered's
     report bit for bit without filtering the state again.
     """
+    config = OracleConfig(restarts=ORACLE_RESTARTS, seed=spec.seed)
     if mode == "unfiltered":
-        return certify_unfiltered(rho, oracle_config=_oracle_config(spec)), None
+        return certify_unfiltered(rho, oracle_config=config), None
     params, fa = optimize_filter(rho)
-    return certify_unfiltered(fa.rho_prime, oracle_config=_oracle_config(spec)), params
+    return certify_unfiltered(fa.rho_prime, oracle_config=config), params
 
 
 def _point_record(spec: ScanSpec, p: float) -> PointRecord:
@@ -515,21 +504,9 @@ def _point_record(spec: ScanSpec, p: float) -> PointRecord:
 
 
 def _violates_at(spec: ScanSpec, p: float, mode: str) -> bool:
-    """``_certify_at``'s verdict at p, settled by the bound alone when it is at most NO_VIOLATION_BOUND.
-
-    Such a bound leaves no room for a certified violation, so neither the
-    tightness search nor the see-saw runs. The filtered mode still runs
-    optimize_filter with its kernel cross-check.
-    """
     rho = build_family_state(spec.family, p)
-    if mode == "unfiltered":
-        bound = unfiltered_bound(rho).bound
-    else:
-        _, fa = optimize_filter(rho)
-        rho, bound = fa.rho_prime, fa.bound
-    if bound <= NO_VIOLATION_BOUND:
-        return False
-    return certify_unfiltered(rho, oracle_config=_oracle_config(spec)).violates
+    report, _ = _certify_at(spec, rho, mode)
+    return report.violates
 
 
 # The record field that holds each mode's predicate value.

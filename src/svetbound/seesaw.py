@@ -19,7 +19,9 @@ seeded starts depend only on (restarts, seed); they are drawn once, kept
 read-only in a small cache, and copied per call.
 
 The public update functions are adapters over the same routine and broadcast
-over a leading axis, so single (3,) vectors work as well.
+over a leading axis, so single (3,) vectors work as well. The see-saw runs
+B's update through update_b_pair, once per sweep, on (R, 3) views of the
+blocks, and copies the result back into B's block.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _images(layout: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return layout @ outer.reshape(9, -1).view(float)
 
 
-def _update(layout, z, w, out, live=None) -> np.ndarray:
+def _update(layout, z, w, out, live=True) -> np.ndarray:
     """Normalize the images into ``out`` in place and return the raw images.
 
     A column whose image is shorter than DEGENERATE_DIRECTION_TOL, or that
@@ -80,10 +82,7 @@ def _update(layout, z, w, out, live=None) -> np.ndarray:
     """
     images = _images(layout, z, w)
     norms = np.sqrt(np.add.reduce(images * images, axis=0))
-    usable = norms > DEGENERATE_DIRECTION_TOL
-    if live is not None:
-        usable &= live
-    np.divide(images, norms, out=out, where=usable)
+    np.divide(images, norms, out=out, where=(norms > DEGENERATE_DIRECTION_TOL) & live)
     return images
 
 
@@ -181,15 +180,14 @@ def _cached_start_blocks(restarts: int, seed: int) -> np.ndarray:
     return blocks
 
 
-def _start_blocks(restarts: int, seed) -> np.ndarray:
-    """The party blocks of ``_starts(restarts, seed)``, as a fresh writable array.
+def _start_blocks(restarts: int, seed: int) -> np.ndarray:
+    """The party blocks of ``_starts(restarts, seed)``, as a fresh writable array."""
+    return _cached_start_blocks(restarts, seed).copy()
 
-    An integer seed reads them from the cache; any other seed (None draws
-    fresh entropy) draws them anew.
-    """
-    if isinstance(seed, (int, np.integer)):
-        return _cached_start_blocks(restarts, int(seed)).copy()
-    return _party_blocks(_starts(restarts, seed))
+
+def _pair(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (3, 2N) block as its (N, 3) stacks x and x', views into the block."""
+    return block[:, 0::2].T, block[:, 1::2].T
 
 
 def seesaw_from_matrix(m: np.ndarray, config: OracleConfig | None = None) -> OracleResult:
@@ -206,20 +204,25 @@ def seesaw_from_matrix(m: np.ndarray, config: OracleConfig | None = None) -> Ora
     if config.max_sweeps < 1:
         raise ValueError(f"see-saw needs max_sweeps >= 1, got {config.max_sweeps}")
     t = correlation_tensor(m)
-    lay_a, lay_b, lay_c = (_layout(t, party) for party in range(3))
+    lay_a, lay_c = _layout(t, 0), _layout(t, 2)
     blocks = _start_blocks(config.restarts, config.seed)
     a, b, c = blocks
     prev = _value(c, _images(lay_c, _conj(a), _TWIST * _conj(b)))
     # Sweeps each start has begun: a start that stops at sweep s reads s, and
     # one still running after the last sweep reads max_sweeps + 1 until capped.
     sweeps = np.ones(config.restarts, dtype=int)
-    live = None
+    # (R, 3) views into the blocks, which are updated in place.
+    a_pair, b_pair, c_pair = _pair(a), _pair(b), _pair(c)
+    live = keep = True
     for _ in range(config.max_sweeps):
-        # C's conjugate serves B's update and A's; B's twisted conjugate serves A's and C's.
-        zc = _conj(c)
-        _update(lay_b, _conj(a), _TWIST * zc, b, live)
+        # B's update runs through update_b_pair, once per sweep: bench/spans.py
+        # counts sweeps there. Its pair is copied into the running starts' rows.
+        new_b = update_b_pair(t, *a_pair, *c_pair, previous=b_pair)
+        for stack, new in zip(b_pair, new_b):
+            np.copyto(stack, new, where=keep)
+        # B's twisted conjugate serves A's update and C's.
         wb = _TWIST * _conj(b)
-        _update(lay_a, zc, wb, a, live)
+        _update(lay_a, _conj(c), wb, a, live)
         value = _value(c, _update(lay_c, _conj(a), wb, c, live))
         # A stopped start is frozen, so its value repeats exactly and it stays stopped.
         done = value - prev < CONVERGENCE_TOL
@@ -228,7 +231,7 @@ def seesaw_from_matrix(m: np.ndarray, config: OracleConfig | None = None) -> Ora
             break
         running = ~done
         sweeps += running
-        live = np.repeat(running, 2)
+        live, keep = np.repeat(running, 2), running[:, None]
 
     best = int(np.argmax(prev))
     settings = MeasurementSettings(*blocks[:, :, 2 * best : 2 * best + 2].transpose(0, 2, 1).reshape(6, 3))

@@ -32,21 +32,11 @@ def _unit(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"{name} must be a unit vector, norm {np.linalg.norm(v):.12g}")
+    # np.linalg.norm of a real 1-D array is sqrt(v.dot(v)), bit for bit.
+    norm = math.sqrt(v.dot(v))
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"{name} must be a unit vector, norm {norm:.12g}")
     return v
-
-
-_SETTING_NAMES = ("a", "a_prime", "b", "b_prime", "c", "c_prime")
-
-
-def _all_unit(vecs: list[np.ndarray]) -> bool:
-    """Whether every vector is a 3-vector whose squared norm is within UNIT_NORM_TOL of 1.
-
-    Then its norm is within about UNIT_NORM_TOL / 2 of 1, so _unit accepts it
-    too; a False sends the vectors through _unit, which decides.
-    """
-    return all(v.shape == (3,) and abs(v.dot(v) - 1.0) <= UNIT_NORM_TOL for v in vecs)
 
 
 @dataclass
@@ -61,11 +51,12 @@ class MeasurementSettings:
     c_prime: np.ndarray
 
     def __post_init__(self):
-        vecs = [np.asarray(getattr(self, name), dtype=float) for name in _SETTING_NAMES]
-        if not _all_unit(vecs):
-            # The per-vector check gives the verdict and the message of the first failure.
-            vecs = [_unit(v, name) for v, name in zip(vecs, _SETTING_NAMES)]
-        self.a, self.a_prime, self.b, self.b_prime, self.c, self.c_prime = vecs
+        self.a = _unit(self.a, "a")
+        self.a_prime = _unit(self.a_prime, "a_prime")
+        self.b = _unit(self.b, "b")
+        self.b_prime = _unit(self.b_prime, "b_prime")
+        self.c = _unit(self.c, "c")
+        self.c_prime = _unit(self.c_prime, "c_prime")
 
     @classmethod
     def random(cls, rng: np.random.Generator) -> "MeasurementSettings":

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize as scipy_minimize
 
-import svetbound.analysis as analysis_module
 import svetbound.scan as scan_module
 from conftest import random_density
 from svetbound.analysis import certify_filtered
@@ -25,7 +24,6 @@ from svetbound.scan import (
     BISECT_TOL,
     FIGURE_FAMILY,
     FILTER_LOG_RANGE,
-    NO_VIOLATION_BOUND,
     ORACLE_RESTARTS,
     REFINE_MAX_EVALS,
     REFINE_TOLS,
@@ -47,7 +45,7 @@ from svetbound.scan import (
 )
 from svetbound.seesaw import OracleConfig
 from svetbound.states import CHI_THETA, build_chi_state, build_ghz_noise_state
-from svetbound.svetlichny import BoundReport, MeasurementSettings, correlation_matrix, unfiltered_bound
+from svetbound.svetlichny import BoundReport, MeasurementSettings, correlation_matrix
 
 SQ2 = math.sqrt(2.0)
 
@@ -918,105 +916,6 @@ class TestFilteredReuse:
         assert refinements
         assert not report.tight
         assert_same_report(report, want)
-
-
-CRITERION_6_GRID = np.round(np.arange(0.0, 1.0001, 0.05), 10)
-
-
-def step_bound(spec: ScanSpec, p: float, mode: str) -> float:
-    """The bound a ``mode`` step at p settles on: 4 lambda1 of the state or of its optimized filter."""
-    rho = build_family_state(spec.family, p)
-    return unfiltered_bound(rho).bound if mode == "unfiltered" else optimize_filter(rho)[1].bound
-
-
-@pytest.fixture
-def searches(monkeypatch) -> list:
-    """Every tightness check and see-saw run as ("check_tightness" or "seesaw", 4 lambda1 of its input)."""
-    log = []
-    check, seesaw = analysis_module.check_tightness, analysis_module.seesaw_from_matrix
-
-    def check_spy(svd, **kwargs):
-        log.append(("check_tightness", 4.0 * float(svd.singular_values[0])))
-        return check(svd, **kwargs)
-
-    def seesaw_spy(m, config):
-        log.append(("seesaw", 4.0 * float(np.linalg.svd(m, compute_uv=False)[0])))
-        return seesaw(m, config)
-
-    monkeypatch.setattr(analysis_module, "check_tightness", check_spy)
-    monkeypatch.setattr(analysis_module, "seesaw_from_matrix", seesaw_spy)
-    return log
-
-
-class TestBisectionCertificate:
-    """A predicate step whose bound is at most 4 - 9e-9 is settled False without a search."""
-
-    def test_cutoff(self):
-        assert NO_VIOLATION_BOUND == 4.0 + 1e-9 - 1e-8
-
-    @pytest.mark.parametrize(
-        "family, p", [("ghz-noise", 0.5), ("ghz-noise", 0.7), ("chi", 0.3), ("chi", 0.9)]
-    )
-    def test_no_search_at_or_below_the_cutoff(self, searches, family, p):
-        spec = ScanSpec(family=family)
-        assert step_bound(spec, p, "unfiltered") <= NO_VIOLATION_BOUND
-        assert scan_module._violates_at(spec, p, "unfiltered") is False
-        assert searches == []
-
-    @pytest.mark.parametrize("family, mode, p", [("ghz-noise", "unfiltered", 0.75), ("ghz-noise", "filtered", 0.2)])
-    def test_search_above_the_cutoff(self, searches, family, mode, p):
-        """A filtered family state sits at least on the plateau lambda1' = 1, bound 4, so it is certified."""
-        spec = ScanSpec(family=family)
-        assert step_bound(spec, p, mode) > NO_VIOLATION_BOUND
-        scan_module._violates_at(spec, p, mode)
-        assert searches[0][0] == "check_tightness"
-
-    @pytest.mark.parametrize("family, mode", [("ghz-noise", "unfiltered"), ("ghz-noise", "filtered"), ("chi", "filtered")])
-    def test_threshold_scan_searches_only_above_the_cutoff(self, monkeypatch, searches, family, mode):
-        """Every search of a criterion-6 threshold is on a bound above the cutoff; below 1/sqrt(2) the
-        unfiltered ghz-noise steps need none."""
-        steps = []
-        inner = scan_module._violates_at
-
-        def step_spy(spec, p, mode):
-            steps.append(p)
-            return inner(spec, p, mode)
-
-        monkeypatch.setattr(scan_module, "_violates_at", step_spy)
-        threshold_bisect(ScanSpec(family=family, p_grid=CRITERION_6_GRID), mode)
-        assert searches and all(bound > NO_VIOLATION_BOUND for _, bound in searches)
-        checks = sum(name == "check_tightness" for name, _ in searches)
-        if mode == "unfiltered":
-            assert checks == sum(p > 1.0 / SQ2 for p in steps) < len(steps)
-        else:
-            assert checks == len(steps)
-
-    @pytest.mark.parametrize("figure", ["fig1", "fig2"])
-    def test_verdict_equals_the_certified_report(self, monkeypatch, figure):
-        """On every p of the default 0.01 grid, and at every bisection midpoint, both modes."""
-        spec = ScanSpec(family=FIGURE_FAMILY[figure])
-        steps = []
-        inner = scan_module._violates_at
-
-        def step_spy(spec, p, mode):
-            steps.append((p, mode, inner(spec, p, mode)))
-            return steps[-1][2]
-
-        monkeypatch.setattr(scan_module, "_violates_at", step_spy)
-        report = figure_data(figure, spec)
-        assert steps
-        for p, mode, verdict in steps:
-            assert verdict == scan_module._certify_at(spec, build_family_state(spec.family, p), mode)[0].violates
-        for record in report.records:
-            assert inner(spec, record.p, "unfiltered") == record.violates_before
-            assert inner(spec, record.p, "filtered") == record.violates_after
-
-    def test_criterion_6_thresholds_unchanged(self):
-        got = [
-            threshold_bisect(ScanSpec(family=family, p_grid=CRITERION_6_GRID), mode)
-            for family, mode in (("ghz-noise", "unfiltered"), ("ghz-noise", "filtered"), ("chi", "filtered"))
-        ]
-        assert got == [0.707080078125, 0.33334960937499997, 0.36938476562500006]
 
 
 def fake_record(p: float, before: bool = False, after: bool = False) -> PointRecord:

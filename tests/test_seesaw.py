@@ -306,6 +306,22 @@ class TestKernelMatchesReference:
         for _ in range(10):
             assert_matches_reference(correlation_matrix(random_density(rng)).matrix, OracleConfig(restarts=20, seed=11))
 
+    def test_one_b_update_per_batch_sweep(self, monkeypatch):
+        """update_b_pair runs once per sweep of the batch: as often as the slowest start sweeps, or the cap."""
+        calls = []
+        inner = seesaw_module.update_b_pair
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(seesaw_module, "update_b_pair", spy)
+        for m in seeded_matrices(20):
+            for config in (OracleConfig(restarts=20, seed=11), OracleConfig(restarts=20, seed=11, max_sweeps=3)):
+                calls.clear()
+                seesaw_from_matrix(m, config)
+                assert len(calls) == reference_seesaw(m, config)[2].max()
+
     def test_zero_tensor(self):
         """Every image vanishes: each start keeps its vectors and stops at sweep 1 with value 0."""
         values, converged = assert_matches_reference(np.zeros((3, 9)), OracleConfig(restarts=10, seed=4))
@@ -379,10 +395,3 @@ class TestStartCache:
         info = seesaw_module._cached_start_blocks.cache_info()
         assert info.maxsize == START_CACHE_SIZE
         assert info.currsize <= START_CACHE_SIZE
-
-    def test_non_integer_seed_is_not_cached(self):
-        """A seed of None draws fresh entropy on every call, as numpy's generator does."""
-        seesaw_module._cached_start_blocks.cache_clear()
-        first, second = _start_blocks(4, None), _start_blocks(4, None)
-        assert not np.array_equal(first, second)
-        assert seesaw_module._cached_start_blocks.cache_info().currsize == 0

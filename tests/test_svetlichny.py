@@ -75,7 +75,7 @@ class TestSettings:
 
     @pytest.mark.parametrize("index, name", list(enumerate(["a", "a_prime", "b", "b_prime", "c", "c_prime"])))
     def test_first_failure_is_named(self, index, name):
-        """The one-pass check hands a failure to the per-vector check: same message, first field first."""
+        """Each field is checked in order, so the first failing field names the error."""
         vecs = [np.array([1.0, 0.0, 0.0]) for _ in range(6)]
         vecs[index] = np.array([0.0, 1.0 + 2e-11, 0.0])
         vecs[-1] = np.ones(4) if index < 5 else vecs[-1]
@@ -87,13 +87,13 @@ class TestSettings:
 
     @pytest.mark.parametrize("excess", [0.4e-12, 0.6e-12, 0.99e-12, -0.99e-12])
     def test_accepts_within_tolerance(self, excess):
-        """Norms within 1e-12 of 1 pass, also those the one-pass check leaves to the per-vector one."""
+        """Norms within 1e-12 of 1 pass, on either side of 1."""
         v = np.array([1.0, 0.0, 0.0])
         s = MeasurementSettings(v, v, v, v, v, np.array([0.0, 0.0, 1.0 + excess]))
         assert s.c_prime[2] == 1.0 + excess
 
     def test_keeps_the_given_arrays(self):
-        """Float vectors are stored as given, not copied, as the per-vector check did."""
+        """Float vectors are stored as given, not copied."""
         vecs = [np.array([1.0, 0.0, 0.0]) for _ in range(6)]
         s = MeasurementSettings(*vecs)
         assert all(got is want for got, want in zip((s.a, s.a_prime, s.b, s.b_prime, s.c, s.c_prime), vecs))
