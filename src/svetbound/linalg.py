@@ -142,6 +142,11 @@ class SVDResult:
 
     def degeneracy(self) -> int:
         """Multiplicity of the leading singular value at relative tolerance DEGENERACY_RTOL."""
+        return self._degeneracy
+
+    @functools.cached_property
+    def _degeneracy(self) -> int:
+        # Computed on the first call, once per SVD.
         s = self.singular_values
         return int(np.sum(np.abs(s - s[0]) <= DEGENERACY_RTOL * max(1.0, s[0])))
 

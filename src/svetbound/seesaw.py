@@ -94,7 +94,11 @@ def _value(c: np.ndarray, images: np.ndarray) -> np.ndarray:
 
 def _block(x, xp) -> np.ndarray:
     """Two (..., 3) vector stacks as one (3, 2N) block, x and x' interleaved."""
-    return np.ascontiguousarray(np.array((x, xp), dtype=float).reshape(2, -1, 3).T).reshape(3, -1)
+    x = np.asarray(x).reshape(-1, 3)
+    out = np.empty((3, 2 * len(x)))
+    out[:, 0::2] = x.T
+    out[:, 1::2] = np.asarray(xp).reshape(-1, 3).T
+    return out
 
 
 def _pair_update(t, party, x, xp, y, yp, previous):

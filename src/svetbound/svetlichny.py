@@ -27,6 +27,9 @@ ALGEBRAIC_MAX = 4.0 * math.sqrt(2.0)
 VIOLATION_MARGIN = 1e-9
 UNIT_NORM_TOL = 1e-12
 
+# sigma_x, sigma_y and sigma_z flattened, one per row, so v @ _PAULI_ROWS is v . sigma.
+_PAULI_ROWS = _SIGMA4[1:].reshape(3, 4)
+
 
 def _unit(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -91,12 +94,15 @@ def svetlichny_operator(settings: MeasurementSettings) -> np.ndarray:
     - A' (x) (B + B') (x) C' of Bloch observables v . sigma, with its four
     triple products formed as one batch, each as (A (x) B) (x) C.
     """
-    vecs = np.stack([settings.a, settings.a_prime, settings.b, settings.b_prime, settings.c, settings.c_prime])
-    oa, oap, ob, obp, oc, ocp = np.tensordot(vecs, _SIGMA4[1:], axes=1)
-    plus, minus = ob + obp, ob - obp
-    first = np.stack([oa, oa, oap, oap])
-    second = np.stack([plus, minus, minus, plus])
-    third = np.stack([oc, ocp, oc, ocp])
+    vecs = np.empty((6, 3))
+    vecs[0], vecs[1], vecs[2] = settings.a, settings.a_prime, settings.b
+    vecs[3], vecs[4], vecs[5] = settings.b_prime, settings.c, settings.c_prime
+    ops = (vecs @ _PAULI_ROWS).reshape(6, 2, 2)
+    # B + B' and B - B', as the second factor of each triple product.
+    sums = np.empty((2, 2, 2), dtype=complex)
+    np.add(ops[2], ops[3], out=sums[0])
+    np.subtract(ops[2], ops[3], out=sums[1])
+    first, second, third = ops[[0, 0, 1, 1]], sums[[0, 1, 1, 0]], ops[[4, 5, 4, 5]]
     pairs = (first[:, :, None, :, None] * second[:, None, :, None, :]).reshape(4, 4, 4)
     terms = (pairs[:, :, None, :, None] * third[:, None, :, None, :]).reshape(4, 8, 8)
     return terms[0] + terms[1] + terms[2] - terms[3]

@@ -52,6 +52,10 @@ _LBFGS_OPTIONS = {"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14}
 _PAIR_ENDS = (np.array([0, 0, 1]), np.array([1, 2, 2]))
 _MINOR_CORNERS = np.array([3 * rows[:, None] + cols for rows in _PAIR_ENDS for cols in _PAIR_ENDS])
 
+# The (b, b') that assemble_settings keeps where B's image vanishes: e_x and e_y.
+_E_XY = np.eye(3)[:2]
+_E_XY.flags.writeable = False
+
 
 def _units_from_angles(ang: np.ndarray) -> np.ndarray:
     """Four unit vectors (a, a', c, c') from interleaved polar/azimuthal angles."""
@@ -114,7 +118,10 @@ def _residual(basis: np.ndarray, a, ap, c, cp) -> float:
     has orthonormal rows, but it keeps the digits that subtraction cancels.
     """
     outer = np.multiply.outer
-    t = np.stack([(outer(a, c) - outer(ap, cp)).ravel(), (outer(a, cp) + outer(ap, c)).ravel()])
+    t = np.empty((2, 3, 3))
+    np.subtract(outer(a, c), outer(ap, cp), out=t[0])
+    np.add(outer(a, cp), outer(ap, c), out=t[1])
+    t = t.reshape(2, 9)
     off = t - (t @ basis.T) @ basis
     return math.sqrt(float(np.sum(off * off)))
 
@@ -127,10 +134,11 @@ def _pencil_quadratic(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     which lies in its row space.
     """
     (a1, b1, c1, d1), (a2, b2, c2, d2) = v1[_MINOR_CORNERS], v2[_MINOR_CORNERS]
-    coefficients = np.stack(
-        [a1 * d1 - b1 * c1, a1 * d2 + a2 * d1 - b1 * c2 - b2 * c1, a2 * d2 - b2 * c2], axis=-1
-    ).reshape(9, 3)
-    return np.linalg.svd(coefficients)[2][0]
+    coefficients = np.empty((3, 3, 3))
+    coefficients[..., 0] = a1 * d1 - b1 * c1
+    coefficients[..., 1] = a1 * d2 + a2 * d1 - b1 * c2 - b2 * c1
+    coefficients[..., 2] = a2 * d2 - b2 * c2
+    return np.linalg.svd(coefficients.reshape(9, 3))[2][0]
 
 
 def _pencil_roots(q: np.ndarray) -> list[tuple[complex, complex]]:
@@ -166,7 +174,9 @@ def _balanced_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     imaginary parts of e^{i phi} v have equal norm, each |v| / sqrt(2).
     """
     w = v * np.exp(0.5j * (0.5 * np.pi - np.angle(v @ v)))
-    return w.real / np.linalg.norm(w.real), w.imag / np.linalg.norm(w.imag)
+    # sqrt(x . x) is np.linalg.norm of a real 1-D array, bit for bit.
+    x, xp = w.real, w.imag
+    return x / math.sqrt(x.dot(x)), xp / math.sqrt(xp.dot(xp))
 
 
 def _pencil_search(basis: np.ndarray) -> DecompositionResult | None:
@@ -252,6 +262,6 @@ def assemble_settings(
         raise ValueError("cannot assemble settings from a failed tightness search")
     t = correlation_tensor(corr.matrix)
     a, ap, c, cp = decomposition.a, decomposition.a_prime, decomposition.c, decomposition.c_prime
-    b, bp = update_b_pair(t, a, ap, c, cp, previous=tuple(np.eye(3)[:2]))
+    b, bp = update_b_pair(t, a, ap, c, cp, previous=_E_XY)
     settings = MeasurementSettings(a=a, a_prime=ap, b=b, b_prime=bp, c=c, c_prime=cp)
     return settings, bilinear_value(t, a, ap, b, bp, c, cp)

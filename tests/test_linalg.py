@@ -184,6 +184,19 @@ class TestSvd3x9:
         base[1, 1] = base[2, 2] = 0.5
         assert svd_3x9(base).degeneracy() == 1
 
+    def test_degeneracy_computed_once(self, monkeypatch):
+        """The first call fixes an SVD's degeneracy; a later tolerance applies to later SVDs only."""
+        import svetbound.linalg as linalg_module
+
+        base = np.zeros((3, 9))
+        base[0, 0], base[1, 1], base[2, 2] = 2.0, 2.0, 1.0
+        svd = svd_3x9(base)
+        assert svd.degeneracy() == 2
+        monkeypatch.setattr(linalg_module, "DEGENERACY_RTOL", 1.0)
+        assert svd.degeneracy() == 2
+        assert svd.leading_right_basis().shape == (2, 9)
+        assert svd_3x9(base).degeneracy() == 3
+
     def test_leading_right_basis_shape(self):
         m = np.zeros((3, 9))
         m[0, 0] = m[1, 4] = 1.0

@@ -18,7 +18,7 @@ import svetbound.scan as scan_module
 from conftest import random_density
 from svetbound.analysis import certify_filtered
 from svetbound.errors import ConsistencyError, NonMonotonePredicateError
-from svetbound.filtering import FilterTriple, filtered_bound
+from svetbound.filtering import FilterParams, FilterTriple, filtered_bound
 from svetbound.linalg import _PAULI_PRODUCTS, pauli_moments
 from svetbound.scan import (
     BISECT_TOL,
@@ -471,8 +471,8 @@ class TestSearchErrorState:
         self.assert_failed_solve_raises(monkeypatch, _box_search, failing)
 
     def test_failed_solve_on_the_ladder_raises(self, monkeypatch):
-        """The X-state route's second solve, at t = 1, fails."""
-        self.assert_failed_solve_raises(monkeypatch, optimize_filter, 2)
+        """The X-state route's only solve, the ladder's batch over every t, fails."""
+        self.assert_failed_solve_raises(monkeypatch, optimize_filter, 1)
 
     def test_error_state_restored_after_return(self):
         before = np.geterr(), np.geterrcall()
@@ -670,6 +670,20 @@ def x_state_supremum(rho: np.ndarray) -> float:
     return supremum
 
 
+# Populations, coherence ratios and phases of random X-states, for x_state.
+X_STATE_ARGS = dict(
+    pops=st.lists(
+        st.one_of(st.just(0.0), st.floats(0.02, 1.0)), min_size=8, max_size=8
+    ).filter(lambda pops: sum(pops) > 0.0),
+    ratios=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    phases=st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+)
+
+# X-states whose population hull holds 0 on a face of six and of eight vertices.
+SPARSE_COMPLEX = x_state([0.3, 0.1, 0.0, 0.2, 0.05, 0.0, 0.15, 0.2], [0.9, 0.0, 0.5, 1.0], [0.3, 0.0, -2.0, 1.1])
+FULL_COMPLEX = x_state([0.1, 0.2, 0.3, 0.4, 0.05, 0.1, 0.2, 0.3], [1.0, 0.8, 0.6, 0.4], [0.0, 1.0, 2.0, 3.0])
+
+
 def linprog_face(populated: np.ndarray) -> np.ndarray:
     """The minimal face of conv{v_i : populated} holding 0, one LP per state; empty when 0 is outside.
 
@@ -724,14 +738,27 @@ class TestXStateRoute:
             else:
                 assert np.all(d == 0.0)
 
+    def test_face_is_cached_and_read_only(self):
+        """A repeated support pattern gets the same read-only arrays, whatever array holds it."""
+        for bits in (0b10000001, 0b11111111, 0b00001111, 0b01101001):
+            populated = np.array([(bits >> i) & 1 for i in range(8)], dtype=bool)
+            face, d = scan_module._face(populated)
+            again = scan_module._face(populated.astype(int) * 3 > 0)
+            assert again[0] is face and again[1] is d
+            for array in (face, d):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+        assert scan_module._pattern_face.cache_info().maxsize == 256
+
     @pytest.mark.parametrize(
         "rho",
         [
             build_ghz_noise_state(0.5),
             build_chi_state(0.5),
             build_ghz_noise_state(0.2),
-            x_state([0.3, 0.1, 0.0, 0.2, 0.05, 0.0, 0.15, 0.2], [0.9, 0.0, 0.5, 1.0], [0.3, 0.0, -2.0, 1.1]),
-            x_state([0.1, 0.2, 0.3, 0.4, 0.05, 0.1, 0.2, 0.3], [1.0, 0.8, 0.6, 0.4], [0.0, 1.0, 2.0, 3.0]),
+            SPARSE_COMPLEX,
+            FULL_COMPLEX,
         ],
         ids=["ghz-noise-0.5", "chi-0.5", "ghz-noise-0.2", "sparse-complex", "full-complex"],
     )
@@ -742,13 +769,7 @@ class TestXStateRoute:
         assert fa.lambda1_prime == pytest.approx(ref, abs=1e-12)
         assert ref == pytest.approx(x_state_supremum(rho), abs=1e-12)
 
-    @given(
-        pops=st.lists(
-            st.one_of(st.just(0.0), st.floats(0.02, 1.0)), min_size=8, max_size=8
-        ).filter(lambda pops: sum(pops) > 0.0),
-        ratios=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
-        phases=st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
-    )
+    @given(**X_STATE_ARGS)
     @settings(max_examples=25, deadline=None, derandomize=True)
     def test_box_search_never_exceeds_supremum(self, pops, ratios, phases):
         rho = x_state(pops, ratios, phases)
@@ -777,6 +798,192 @@ class TestXStateRoute:
         monkeypatch.setattr(scan_module, "LADDER_STEPS", (0.0, 1.0))
         with pytest.raises(ConsistencyError, match="filter ladder"):
             optimize_filter(build_ghz_noise_state(0.5))
+
+
+def mp_window_point(log_weights: np.ndarray, vertices: np.ndarray, dps: int = 40):
+    """Minimizer w of phi(l) = ln sum_i exp(lw_i + v_i . l) on the span of the vertices, and phi there, in mpmath.
+
+    Damped Newton in the coordinates of linearly independent vertices, until
+    the squared Newton decrement is below 1e-70. The Hessian is summed as a
+    covariance, so no term cancels, and a step is capped at length 8: weights
+    1e-300 apart start far out on a nearly flat slope.
+    """
+    rows = []
+    for v in vertices:
+        if np.linalg.matrix_rank(np.array([*rows, v])) > len(rows):
+            rows.append(v)
+    with mpmath.workdps(dps):
+        lw = [mpmath.mpf(float(x)) for x in log_weights]
+        # proj[i][j] = v_i . b_j, exact integers.
+        proj = [[int(np.dot(v, b)) for b in rows] for v in vertices]
+        r = len(rows)
+
+        def phi(beta):
+            terms = [lw[i] + sum(proj[i][j] * beta[j] for j in range(r)) for i in range(len(lw))]
+            top = max(terms)
+            return top + mpmath.log(sum(mpmath.exp(t - top) for t in terms)), terms
+
+        beta = mpmath.matrix(r, 1)
+        for _ in range(500):
+            value, terms = phi(beta)
+            p = [mpmath.exp(t - value) for t in terms]
+            grad = mpmath.matrix([sum(p[i] * proj[i][j] for i in range(len(p))) for j in range(r)])
+            hess = mpmath.matrix(r, r)
+            for j in range(r):
+                for k in range(r):
+                    hess[j, k] = sum(p[i] * (proj[i][j] - grad[j]) * (proj[i][k] - grad[k]) for i in range(len(p)))
+            step = mpmath.lu_solve(hess, -grad)
+            decrement = -sum(grad[j] * step[j] for j in range(r))
+            if decrement < mpmath.mpf(10) ** -70:
+                break
+            length = mpmath.norm(step)
+            if length > 8:
+                step, decrement = step * (8 / length), decrement * (8 / length)
+            scale = mpmath.mpf(1)
+            while phi(beta + scale * step)[0] > value - scale * decrement / 4:
+                scale /= 2
+            beta = beta + scale * step
+        else:
+            raise AssertionError("mpmath window point did not converge")
+        w = [sum(rows[j][i] * beta[j] for j in range(r)) for i in range(3)]
+        return w, phi(beta)[0]
+
+
+class TestWindowPoint:
+    """_window_point against 40-digit minimizers: closed form on two-vertex faces, damped Newton on larger ones."""
+
+    @staticmethod
+    def assert_near(got, ref, w_tol: float, phi_tol: float):
+        """Each entry of w within w_tol (1 + |.|) of the reference, phi within phi_tol (1 + |.|)."""
+        (w, phi), (ref_w, ref_phi) = got, ref
+        for value, want in zip(w, ref_w):
+            assert abs(mpmath.mpf(float(value)) - want) <= w_tol * (1 + abs(want)), (w, ref_w)
+        assert abs(mpmath.mpf(phi) - ref_phi) <= phi_tol * (1 + abs(ref_phi)), (phi, ref_phi)
+
+    @pytest.mark.parametrize("family", scan_module.FAMILIES)
+    def test_closed_form_on_family_faces(self, family):
+        """Every state of the default grid with p > 0 has a two-vertex face; p = 0 has none."""
+        for p in ScanSpec().p_grid:
+            pops = np.diagonal(build_family_state(family, p)).real
+            face, _ = scan_module._face(pops > 0)
+            assert face.sum() == (2 if p > 0 else 0), p
+            if p > 0:
+                lw, vertices = np.log(pops[face]), scan_module._VERTICES[face]
+                got = scan_module._window_point(lw, vertices)
+                self.assert_near(got, mp_window_point(lw, vertices), 1e-15, 1e-15)
+
+    def test_closed_form_on_random_antipodal_pairs(self):
+        """Pairs {v, -v} in either order, with populations from 1e-300 to 1, equal ones included."""
+        rng = np.random.default_rng(2025)
+        cases = [(0, [1e-300, 1.0]), (3, [1.0, 1e-300]), (1, [0.25, 0.25]), (2, [1.0, 1.0])]
+        cases += [(int(rng.integers(4)), 10.0 ** rng.uniform(-300.0, 0.0, size=2)) for _ in range(60)]
+        for k, pops in cases:
+            for pair in ([k, 7 - k], [7 - k, k]):
+                lw, vertices = np.log(pops), scan_module._VERTICES[pair]
+                assert np.array_equal(vertices[0], -vertices[1])
+                got = scan_module._window_point(lw, vertices)
+                self.assert_near(got, mp_window_point(lw, vertices), 1e-15, 1e-15)
+
+    def test_families_make_no_least_squares_solve(self, monkeypatch):
+        """optimize_filter on both default grids never reaches Newton; a six-vertex face does."""
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        for family in scan_module.FAMILIES:
+            for p in ScanSpec().p_grid:
+                optimize_filter(build_family_state(family, p))
+        assert calls == []
+        optimize_filter(SPARSE_COMPLEX)
+        assert calls
+
+    @pytest.mark.parametrize("rho", [SPARSE_COMPLEX, FULL_COMPLEX], ids=["sparse-complex", "full-complex"])
+    def test_newton_on_larger_faces(self, rho):
+        """Newton stops within the tolerances that NEWTON_TOL's comment states."""
+        pops = np.diagonal(rho).real
+        face, _ = scan_module._face(pops > 0)
+        assert face.sum() >= 3
+        lw, vertices = np.log(pops[face]), scan_module._VERTICES[face]
+        self.assert_near(scan_module._window_point(lw, vertices), mp_window_point(lw, vertices), 1e-10, 1e-15)
+
+
+def sequential_ladder(rho: np.ndarray):
+    """The ladder one t at a time, kept as the reference: the first t within SUPREMUM_TOL and its filter, or None."""
+    kernel = _filter_kernel(rho)
+    w, d, supremum = scan_module._x_state_path(rho, kernel)
+    for t in scan_module.LADDER_STEPS:
+        ell = w + t * d
+        monomials = scan_module._EXPONENTS.dot(ell)
+        out = kernel.dot(np.exp(monomials - monomials.max()))
+        xm = out[:27].reshape(3, 9)
+        value = math.sqrt(max(np.linalg.eigvalsh(xm.dot(xm.T))[2], 0.0)) / float(out[27])
+        if abs(value - supremum) <= scan_module.SUPREMUM_TOL:
+            x, y, z = np.exp(ell)
+            return t, FilterParams(float(x), float(y), float(z))
+    return None
+
+
+class TestBatchedLadder:
+    """optimize_filter's one batched solve picks the t and filter of the sequential ladder."""
+
+    @staticmethod
+    def assert_same_ladder(rho: np.ndarray):
+        kernel = _filter_kernel(rho)
+        path = scan_module._x_state_path(rho, kernel)
+        if path is None:
+            return
+        reference = sequential_ladder(rho)
+        if reference is None:
+            with pytest.raises(ConsistencyError, match="filter ladder"):
+                optimize_filter(rho)
+            return
+        t, want = reference
+        got, _ = optimize_filter(rho)
+        assert got == want
+        w, d, _ = path
+        steps = [s for s in scan_module.LADDER_STEPS if FilterParams(*map(float, np.exp(w + s * d))) == got]
+        assert steps[0] == t
+
+    @pytest.mark.parametrize("family", scan_module.FAMILIES)
+    def test_family_grids(self, family):
+        for p in ScanSpec().p_grid:
+            self.assert_same_ladder(build_family_state(family, p))
+
+    @given(**X_STATE_ARGS)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_random_x_states(self, pops, ratios, phases):
+        self.assert_same_ladder(x_state(pops, ratios, phases))
+
+    def test_later_steps_stay_silent(self, monkeypatch):
+        """A step past the first that qualifies, here one whose N underflows to 0, neither warns nor raises."""
+        rho = build_ghz_noise_state(0.5)
+        monkeypatch.setattr(scan_module, "LADDER_STEPS", (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 1e6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params, _ = optimize_filter(rho)
+        assert params == sequential_ladder(rho)[1]
+
+    def test_sigma1_is_the_matrix_two_norm(self):
+        """The supremum takes sigma1 of the coherence block bit for bit as np.linalg.norm(C, 2) did."""
+        states = [build_family_state(f, p) for f in scan_module.FAMILIES for p in ScanSpec().p_grid]
+        states += [SPARSE_COMPLEX, FULL_COMPLEX]
+        checked = 0
+        for rho in states:
+            kernel = _filter_kernel(rho)
+            pops = np.diagonal(rho).real
+            face, _ = scan_module._face(pops > 0)
+            _, _, supremum = scan_module._x_state_path(rho, kernel)
+            if supremum == 1.0:
+                continue
+            coherence = kernel[:27, scan_module._COHERENCE_COLUMN].reshape(3, 9)
+            _, phi = scan_module._window_point(np.log(pops[face]), scan_module._VERTICES[face])
+            assert supremum == float(np.linalg.norm(coherence, 2)) * math.exp(-phi)
+            checked += 1
+        assert checked > 100
 
 
 class TestThresholdBisect:

@@ -395,3 +395,31 @@ class TestStartCache:
         info = seesaw_module._cached_start_blocks.cache_info()
         assert info.maxsize == START_CACHE_SIZE
         assert info.currsize <= START_CACHE_SIZE
+
+
+def reference_block(x, xp) -> np.ndarray:
+    """The (3, 2N) block by np.array, a transpose and a contiguous copy, kept as the reference."""
+    return np.ascontiguousarray(np.array((x, xp), dtype=float).reshape(2, -1, 3).T).reshape(3, -1)
+
+
+class TestBlock:
+    """seesaw._block fills one preallocated block, byte for byte the reference's."""
+
+    @staticmethod
+    def assert_bytes_equal(x, xp):
+        got, want = seesaw_module._block(x, xp), reference_block(x, xp)
+        assert got.shape == want.shape and got.dtype == want.dtype == float
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (8, 3), (100, 3), (2, 1, 3), (2, 7, 3)])
+    def test_matches_reference(self, rng, shape):
+        for _ in range(20):
+            self.assert_bytes_equal(rng.normal(size=shape), rng.normal(size=shape))
+
+    def test_views_lists_and_signed_zeros(self, rng):
+        """Strided (R, 3) views of a block, as the see-saw passes them, Python lists, and -0.0."""
+        block = rng.normal(size=(3, 24))
+        self.assert_bytes_equal(block[:, 0::2].T, block[:, 1::2].T)
+        self.assert_bytes_equal([1.0, -0.0, 0.0], [-0.0, 2.0, 0.0])
+        self.assert_bytes_equal(np.array([[0.0, -0.0, 1.0]] * 4), -np.eye(3)[[0, 1, 2, 0]])

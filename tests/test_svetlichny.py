@@ -182,3 +182,28 @@ class TestUnfilteredBound:
     def test_chi_degeneracy(self):
         assert unfiltered_bound(build_chi_state(0.5)).degeneracy == 2
         assert unfiltered_bound(build_chi_state(0.0)).degeneracy == 3
+
+
+def batched_operator(s: MeasurementSettings) -> np.ndarray:
+    """The operator by tensordot and four np.stack calls, kept as the reference for the gathers."""
+    vecs = np.stack([s.a, s.a_prime, s.b, s.b_prime, s.c, s.c_prime])
+    oa, oap, ob, obp, oc, ocp = np.tensordot(vecs, np.stack([pauli(1), pauli(2), pauli(3)]), axes=1)
+    plus, minus = ob + obp, ob - obp
+    first = np.stack([oa, oa, oap, oap])
+    second = np.stack([plus, minus, minus, plus])
+    third = np.stack([oc, ocp, oc, ocp])
+    pairs = (first[:, :, None, :, None] * second[:, None, :, None, :]).reshape(4, 4, 4)
+    terms = (pairs[:, :, None, :, None] * third[:, None, :, None, :]).reshape(4, 8, 8)
+    return terms[0] + terms[1] + terms[2] - terms[3]
+
+
+class TestOperatorBytes:
+    def test_matches_stacked_formula(self, rng):
+        """One matmul and index gathers give the stacked formula's bytes, signed zeros included."""
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        cases = [MeasurementSettings(*axes[rng.integers(6, size=6)]) for _ in range(200)]
+        cases += [MeasurementSettings.random(rng) for _ in range(500)]
+        for s in cases:
+            got, want = svetlichny_operator(s), batched_operator(s)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

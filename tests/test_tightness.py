@@ -347,3 +347,70 @@ class TestPencilRoute:
         assert dec.found == exhaustive_found(corr.svd)
         if dec.found:
             assert_attains_bound(dec, corr)
+
+
+def stacked_residual(basis, a, ap, c, cp) -> float:
+    """_residual with np.stack, kept as the reference."""
+    outer = np.multiply.outer
+    t = np.stack([(outer(a, c) - outer(ap, cp)).ravel(), (outer(a, cp) + outer(ap, c)).ravel()])
+    off = t - (t @ basis.T) @ basis
+    return float(np.sqrt(np.sum(off * off)))
+
+
+def stacked_pencil_quadratic(v1, v2) -> np.ndarray:
+    """_pencil_quadratic with np.stack, kept as the reference."""
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = v1[tightness._MINOR_CORNERS], v2[tightness._MINOR_CORNERS]
+    coefficients = np.stack(
+        [a1 * d1 - b1 * c1, a1 * d2 + a2 * d1 - b1 * c2 - b2 * c1, a2 * d2 - b2 * c2], axis=-1
+    ).reshape(9, 3)
+    return np.linalg.svd(coefficients)[2][0]
+
+
+def norm_balanced_pair(v):
+    """_balanced_pair with np.linalg.norm, kept as the reference."""
+    w = v * np.exp(0.5j * (0.5 * np.pi - np.angle(v @ v)))
+    return w.real / np.linalg.norm(w.real), w.imag / np.linalg.norm(w.imag)
+
+
+class TestKernelBytes:
+    """The preallocated and sqrt(x . x) forms give the reference formulas' bytes."""
+
+    @staticmethod
+    def subspaces(rng):
+        """Leading bases of both families' degenerate subspaces and random two- and threefold ones."""
+        bases = []
+        for build in (build_ghz_noise_state, build_chi_state):
+            for p in np.linspace(0.05, 1.0, 20):
+                svd = correlation_matrix(build(p)).svd
+                if svd.degeneracy() >= 2:
+                    bases.append(svd.leading_right_basis())
+        for k in (2, 3) * 100:
+            bases.append(np.linalg.qr(rng.normal(size=(9, k)))[0].T.copy())
+        return bases
+
+    def test_residual(self, rng):
+        for basis in self.subspaces(rng):
+            a, ap, c, cp = (v / np.linalg.norm(v) for v in rng.normal(size=(4, 3)))
+            got, want = tightness._residual(basis, a, ap, c, cp), stacked_residual(basis, a, ap, c, cp)
+            assert got.hex() == want.hex()
+
+    def test_pencil_quadratic(self, rng):
+        for basis in self.subspaces(rng):
+            got, want = tightness._pencil_quadratic(basis[0], basis[1]), stacked_pencil_quadratic(basis[0], basis[1])
+            assert got.tobytes() == want.tobytes()
+
+    def test_balanced_pair(self, rng):
+        vectors = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(500)]
+        vectors += [10.0 ** rng.uniform(-150, 150) * v for v in vectors[:100]]
+        vectors += [np.array([1.0, 1j, 0.0]), np.array([1.0, 0.0, 0.0]) + 0j]
+        for v in vectors:
+            for got, want in zip(tightness._balanced_pair(v), norm_balanced_pair(v)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_pencil_search_matches_on_families(self):
+        """The family checks certify with the settings and residuals the reference kernels give."""
+        for build in (build_ghz_noise_state, build_chi_state):
+            for p in (0.3, 0.5, 0.9, 1.0):
+                basis = correlation_matrix(build(p)).svd.leading_right_basis()
+                dec = tightness._pencil_search(basis)
+                assert dec.residual.hex() == stacked_residual(basis, dec.a, dec.a_prime, dec.c, dec.c_prime).hex()
