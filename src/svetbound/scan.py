@@ -20,14 +20,15 @@ the populated basis states. The infimum is a geometric program (Boyd, Kim,
 Vandenberghe and Hassibi, Optim. Eng. 8, 67 (2007)), taken on the minimal
 face F of conv{v_i} that holds 0: a direction d with v_i . d = 0 on F and
 v_i . d <= -1 off it sends every term off F to zero, and the window point w
-minimizes F's terms. A face of two vertices is an antipodal pair {v, -v}, the
-face of every ghz-noise and chi state, and gets w in closed form; a larger
-face gets it by damped Newton. So the supremum is the limit of lambda1' along
-w + t d, on the boundary of the state's SLOCC orbit as in Verstraete, Dehaene
-and De Moor, PRA 68, 012103 (2003). When it is the plateau 1, w = 0 and d is
-the vertex of the largest population. The returned filter is a finite one,
-w + t d at the first t of LADDER_STEPS where the kernel's lambda1 is within
-SUPREMUM_TOL of the supremum; one batched eigen-solve gives lambda1 at every t.
+minimizes F's terms. A face of two vertices is an antipodal pair {v, -v}, as
+for every ghz-noise and chi state with p > 0, and gets w in closed form; a
+larger face gets it by damped Newton. So the supremum is the limit of lambda1'
+along w + t d, on the boundary of the state's SLOCC orbit as in Verstraete,
+Dehaene and De Moor, PRA 68, 012103 (2003). When it is the plateau 1, w = 0
+and d is the vertex of the largest population. The returned filter is a
+finite one, w + t d at the first t of LADDER_STEPS where the kernel's lambda1
+is within SUPREMUM_TOL of the supremum; one batched eigen-solve gives lambda1
+at every t.
 
 Any other state takes the box search. A log-spaced grid of filter strengths
 reduces to staged monomial contractions and one batched eigen-solve of the

@@ -94,14 +94,10 @@ def svetlichny_operator(settings: MeasurementSettings) -> np.ndarray:
     - A' (x) (B + B') (x) C' of Bloch observables v . sigma, with its four
     triple products formed as one batch, each as (A (x) B) (x) C.
     """
-    vecs = np.empty((6, 3))
-    vecs[0], vecs[1], vecs[2] = settings.a, settings.a_prime, settings.b
-    vecs[3], vecs[4], vecs[5] = settings.b_prime, settings.c, settings.c_prime
+    vecs = np.array([settings.a, settings.a_prime, settings.b, settings.b_prime, settings.c, settings.c_prime])
     ops = (vecs @ _PAULI_ROWS).reshape(6, 2, 2)
-    # B + B' and B - B', as the second factor of each triple product.
-    sums = np.empty((2, 2, 2), dtype=complex)
-    np.add(ops[2], ops[3], out=sums[0])
-    np.subtract(ops[2], ops[3], out=sums[1])
+    ob, obp = ops[2], ops[3]
+    sums = np.array((ob + obp, ob - obp))
     first, second, third = ops[[0, 0, 1, 1]], sums[[0, 1, 1, 0]], ops[[4, 5, 4, 5]]
     pairs = (first[:, :, None, :, None] * second[:, None, :, None, :]).reshape(4, 4, 4)
     terms = (pairs[:, :, None, :, None] * third[:, None, :, None, :]).reshape(4, 8, 8)

@@ -406,11 +406,3 @@ class TestKernelBytes:
         for v in vectors:
             for got, want in zip(tightness._balanced_pair(v), norm_balanced_pair(v)):
                 assert got.tobytes() == want.tobytes()
-
-    def test_pencil_search_matches_on_families(self):
-        """The family checks certify with the settings and residuals the reference kernels give."""
-        for build in (build_ghz_noise_state, build_chi_state):
-            for p in (0.3, 0.5, 0.9, 1.0):
-                basis = correlation_matrix(build(p)).svd.leading_right_basis()
-                dec = tightness._pencil_search(basis)
-                assert dec.residual.hex() == stacked_residual(basis, dec.a, dec.a_prime, dec.c, dec.c_prime).hex()
