@@ -26,7 +26,3 @@ class NonMonotonePredicateError(RuntimeError):
     def __init__(self, message: str, brackets):
         super().__init__(message)
         self.brackets = list(brackets)
-
-    def __reduce__(self):
-        # The default rebuilds from self.args alone, which lacks the brackets.
-        return type(self), (str(self), self.brackets)

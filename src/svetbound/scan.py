@@ -115,9 +115,6 @@ NEWTON_MAX_STEPS = 100
 KERNEL_CHECK_TOL = 1e-9
 MAX_LAMBDA1 = math.sqrt(3.0) + KERNEL_CHECK_TOL
 
-# See-saw restarts per certification in a scan.
-ORACLE_RESTARTS = 8
-
 # Known boundary of the bilocal-model region for the chi family, quoted from
 # tabulated two-qubit results. Used only to annotate the activation window;
 # nothing in this package computes it.
@@ -510,7 +507,7 @@ def _certify_at(spec: ScanSpec, rho: np.ndarray, mode: str) -> tuple[BoundReport
     optimize_filter's analysis already holds, which gives certify_filtered's
     report bit for bit without filtering the state again.
     """
-    config = OracleConfig(restarts=ORACLE_RESTARTS, seed=spec.seed)
+    config = OracleConfig(seed=spec.seed)
     if mode == "unfiltered":
         return certify_unfiltered(rho, oracle_config=config), None
     params, fa = optimize_filter(rho)

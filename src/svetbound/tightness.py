@@ -18,16 +18,21 @@ parts of e^{i phi} alpha equal in norm, and normalized they are a and a'; c
 and c' come from gamma the same way. T1 + i T2 is then a complex multiple of
 alpha gamma^T, so t1 and t2 lie in the subspace.
 
-So the first route is exact. With leading right vectors V1 and V2 as 3x3
-matrices, the nine 2x2 minors of s V1 + t V2 are binary quadratics in (s, t),
-and the rank-one members of the pencil are their common roots. Each common
-root is a root of the dominant right-singular vector of the 9x3 coefficient
-matrix, so its two roots, t = 0 and s = 0 included, are the candidates. A
-threefold leading value tries the pencil of its first two basis vectors,
-which certifies the zero matrix at once. Whatever the pencil does not
-certify falls back to a seeded multistart L-BFGS on the residual over the
-four outer Bloch vectors, parametrized by spherical angles, with an analytic
-gradient; that search also gives an unattainable subspace its residual.
+So the first route is exact. A k-fold leading value takes its candidates
+from the pencil of its first min(k, 2) leading right vectors as 3x3 matrices.
+At k = 1 the candidate is V1: a real rank-one V1 = a c^T gives a = a', c = c'
+and t1 = 0, and assemble_settings completes it with b' = -b. Its residual is
+2 sqrt(1 - s1^2) in V1's singular values s1 >= s2 >= s3, so V1's squared 2x2
+minors, which sum to at most 1 - s1^2, reject it above RESIDUAL_TOL^2 with no
+SVD, and with a factor four to spare for rounding. At k = 2 the rank-one
+members are the common roots of the nine minors of s V1 + t V2, binary
+quadratics in (s, t). Each is a root of the dominant right-singular vector
+of their 9x3 coefficient matrix, so its two roots, t = 0 and s = 0 included,
+are the candidates. Both pencils are complete. A threefold value's
+sub-pencil, which certifies the zero matrix at once, is not: only there does
+a seeded multistart L-BFGS run on the residual over the four outer Bloch
+vectors, in spherical angles with an analytic gradient, which also gives an
+unattainable threefold subspace its residual.
 """
 
 from __future__ import annotations
@@ -99,8 +104,8 @@ class DecompositionResult:
     """Outcome of the tightness check.
 
     ``found`` means the residual is at most RESIDUAL_TOL, in which case the
-    vectors realize the decomposition; otherwise they are the best candidates
-    the L-BFGS fallback saw.
+    vectors realize the decomposition. Otherwise they are the best candidates
+    an L-BFGS search saw, or None with an infinite residual if none ran.
     """
 
     found: bool
@@ -179,15 +184,22 @@ def _balanced_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / math.sqrt(x.dot(x)), xp / math.sqrt(xp.dot(xp))
 
 
-def _pencil_search(basis: np.ndarray) -> DecompositionResult | None:
-    """Settings from a rank-one member of the pencil of the first two basis vectors.
+def _pencil_search(basis: np.ndarray) -> DecompositionResult:
+    """Settings from a rank-one member of the pencil of the first min(k, 2) basis vectors.
 
     Returns the first candidate whose residual on the full basis is at most
-    RESIDUAL_TOL, or None.
+    RESIDUAL_TOL, or found=False with no vectors and an infinite residual.
     """
-    v1, v2 = basis[0], basis[1]
-    for s, t in _pencil_roots(_pencil_quadratic(v1, v2)):
-        u, _, vh = np.linalg.svd((s * v1 + t * v2).reshape(3, 3))
+    if len(basis) == 1:
+        # The squared minors sum to s1^2 (s2^2 + s3^2) + s2^2 s3^2 <= 1 - s1^2.
+        upper_left, upper_right, lower_left, lower_right = basis[0][_MINOR_CORNERS]
+        minors = (upper_left * lower_right - upper_right * lower_left).ravel()
+        members = [basis[0]] if minors.dot(minors) <= RESIDUAL_TOL**2 else []
+    else:
+        v1, v2 = basis[0], basis[1]
+        members = [s * v1 + t * v2 for s, t in _pencil_roots(_pencil_quadratic(v1, v2))]
+    for member in members:
+        u, _, vh = np.linalg.svd(member.reshape(3, 3))
         a, ap = _balanced_pair(u[:, 0])
         c, cp = _balanced_pair(vh[0])
         residual = _residual(basis, a, ap, c, cp)
@@ -195,7 +207,7 @@ def _pencil_search(basis: np.ndarray) -> DecompositionResult | None:
             return DecompositionResult(
                 found=True, a=a, a_prime=ap, c=c, c_prime=cp, residual=residual,
             )
-    return None
+    return DecompositionResult(False, None, None, None, None, math.inf)
 
 
 def _lbfgs_search(basis: np.ndarray, seed: int) -> DecompositionResult:
@@ -231,22 +243,17 @@ def _lbfgs_search(basis: np.ndarray, seed: int) -> DecompositionResult:
 def check_tightness(svd: SVDResult, *, seed: int = 42) -> DecompositionResult:
     """Look for outer settings whose pair (t1, t2) spans the leading subspace.
 
-    First the exact route: a rank-one member of the complexified pencil of
-    the first two leading right vectors, certified by its residual on the
-    whole leading basis. What that does not certify goes to up to 64 seeded
-    L-BFGS descents, which stop at the first whose residual is at most
-    RESIDUAL_TOL. With the leading singular value nondegenerate no two
-    orthogonal vectors fit, so nothing runs and the result reports
-    found=False.
+    The exact route tries the rank-one members of the complexified pencil of
+    the first min(k, 2) leading right vectors of a k-fold leading value. At
+    k <= 2 it is complete, so what it does not certify is reported with no
+    search. At k = 3 up to 64 seeded L-BFGS descents follow, stopping at the
+    first whose residual is at most RESIDUAL_TOL.
     """
-    if svd.degeneracy() < 2:
-        return DecompositionResult(
-            found=False, a=None, a_prime=None, c=None, c_prime=None,
-            residual=float("inf"),
-        )
     basis = svd.leading_right_basis()
     decomposition = _pencil_search(basis)
-    return decomposition if decomposition is not None else _lbfgs_search(basis, seed)
+    if not decomposition.found and len(basis) == 3:
+        decomposition = _lbfgs_search(basis, seed)
+    return decomposition
 
 
 def assemble_settings(

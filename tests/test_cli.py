@@ -193,6 +193,14 @@ class TestFilterCommand:
         assert float(fields["lambda1_prime"]) == pytest.approx(1.1542290377905464, abs=1e-9)
         assert fields["violates"] == "true"
 
+    def test_optimize_plateau_point_is_tight(self, capsys):
+        """On the plateau the filtered leading vector is rank one, and its settings attain the bound exactly."""
+        code, out, _ = run(capsys, ["filter", "--family", "ghz-noise", "--p", "0.2", "--optimize"])
+        assert code == 0
+        fields = out_map(out)
+        assert fields["tight"] == "true"
+        assert fields["achieved"] == fields["bound"] == "3.999999999999865e+00"
+
     def test_optimize_state_file_takes_the_box_search(self, capsys, monkeypatch, tmp_path):
         """A seeded Ginibre state is no X-state: the command prints the filter and value of the box search."""
         path = tmp_path / "ginibre.json"

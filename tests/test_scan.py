@@ -3,7 +3,6 @@ import json
 import math
 import multiprocessing
 import os
-import pickle
 import warnings
 
 import mpmath
@@ -14,7 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize as scipy_minimize
 
+import svetbound.analysis as analysis_module
 import svetbound.scan as scan_module
+import svetbound.tightness as tightness_module
 from conftest import random_density
 from svetbound.analysis import certify_filtered
 from svetbound.errors import ConsistencyError, NonMonotonePredicateError
@@ -24,7 +25,6 @@ from svetbound.scan import (
     BISECT_TOL,
     FIGURE_FAMILY,
     FILTER_LOG_RANGE,
-    ORACLE_RESTARTS,
     REFINE_MAX_EVALS,
     REFINE_TOLS,
     PointRecord,
@@ -1007,14 +1007,6 @@ class TestThresholdBisect:
             scan_module.threshold_bisect(spec, "unfiltered")
         assert err.value.brackets == [(0.1, 0.2), (0.2, 0.3), (0.3, 0.4)]
 
-    def test_non_monotone_error_pickles(self):
-        """The error crosses a process boundary with its message and brackets."""
-        err = NonMonotonePredicateError("two crossings", [(0.1, 0.2), (0.3, 0.4)])
-        back = pickle.loads(pickle.dumps(err))
-        assert type(back) is NonMonotonePredicateError
-        assert str(back) == "two crossings"
-        assert back.brackets == [(0.1, 0.2), (0.3, 0.4)]
-
     def test_bad_mode(self, monkeypatch):
         """An unknown mode is refused before a point is certified."""
         monkeypatch.setattr(scan_module, "_violates_at", lambda spec, p, mode: pytest.fail("the scan started"))
@@ -1092,6 +1084,32 @@ class TestFigureData:
             figure_data("fig3")
 
 
+class TestExactCertification:
+    """Every family point, filtered or not, certifies through the exact tightness route."""
+
+    def test_no_seesaw_or_lbfgs(self, monkeypatch):
+        """Default-grid figures and criterion 6's thresholds make no see-saw call and no L-BFGS run."""
+        calls = []
+
+        def spy(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(analysis_module, "seesaw_from_matrix")
+        spy(tightness_module, "minimize")
+        figure_data("fig1")
+        figure_data("fig2")
+        grid = np.round(np.arange(0.0, 1.0001, 0.05), 10)
+        for family, mode in (("ghz-noise", "unfiltered"), ("ghz-noise", "filtered"), ("chi", "filtered")):
+            assert threshold_bisect(ScanSpec(family=family, p_grid=grid), mode) is not None
+        assert calls == []
+
+
 def assert_same_report(got: BoundReport, want: BoundReport) -> None:
     """Every field equal: numbers with ==, each setting vector with np.array_equal."""
     for f in dataclasses.fields(BoundReport):
@@ -1107,7 +1125,7 @@ class TestFilteredReuse:
     @staticmethod
     def certified_twice(spec: ScanSpec, rho: np.ndarray) -> tuple[BoundReport, BoundReport]:
         report, params = scan_module._certify_at(spec, rho, "filtered")
-        config = OracleConfig(restarts=ORACLE_RESTARTS, seed=spec.seed)
+        config = OracleConfig(seed=spec.seed)
         _, want = certify_filtered(rho, params.triple(), oracle_config=config)
         return report, want
 

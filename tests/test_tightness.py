@@ -28,6 +28,13 @@ def unattainable_matrix() -> np.ndarray:
     return np.outer([1.0, 0.0, 0.0], v1) + np.outer([0.0, 1.0, 0.0], v2)
 
 
+def threefold_unattainable_matrix() -> np.ndarray:
+    """Rows I/sqrt(3), (E01 - E10)/sqrt(2) and (E02 - E20)/sqrt(2): a threefold span with no complex rank-one member."""
+    j = np.zeros((3, 3))
+    j[0, 2], j[2, 0] = 1.0, -1.0
+    return unattainable_matrix() + np.outer([0.0, 0.0, 1.0], j.ravel() / np.sqrt(2.0))
+
+
 def leading_corr(rows: np.ndarray) -> CorrelationMatrix:
     """M = rows stacked over zero rows, with an SVD whose leading right basis is exactly ``rows``.
 
@@ -41,6 +48,15 @@ def leading_corr(rows: np.ndarray) -> CorrelationMatrix:
         right_vectors=np.hstack([rows.T, null_space(rows)]),
     )
     return CorrelationMatrix(matrix=np.vstack([rows, np.zeros((3 - k, 9))]), svd=svd)
+
+
+def planted_corr(rng: np.random.Generator, leading: np.ndarray) -> CorrelationMatrix:
+    """M = U diag(s) V^T with distinct random s, V's first column the unit vector ``leading``, and M's computed SVD."""
+    v = np.linalg.qr(np.column_stack([leading, rng.normal(size=(9, 2))]))[0]
+    u = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    s = np.sort(rng.uniform(0.1, 1.7, size=3))[::-1]
+    matrix = (u * s) @ v.T
+    return CorrelationMatrix(matrix=matrix, svd=svd_3x9(matrix))
 
 
 def settings_pair(a, ap, c, cp) -> np.ndarray:
@@ -215,14 +231,25 @@ class TestFailurePaths:
         assert dec.residual == np.inf
         assert dec.a is None
 
-    def test_degenerate_but_unattainable(self, lbfgs_runs):
-        """A degenerate subspace without product vectors admits no settings pair.
-
-        With leading right vectors I/sqrt(3) and (E01 - E10)/sqrt(2) the best
-        captured weight is 10/3, leaving a deficit of exactly 2/3. No restart
-        certifies, so all of them run.
-        """
+    def test_twofold_unattainable_runs_no_search(self, lbfgs_runs):
+        """The pencil of a twofold value is complete: what it does not certify is reported with no L-BFGS run."""
         dec = check_tightness(svd_3x9(unattainable_matrix()))
+        assert lbfgs_runs == []
+        assert not dec.found
+        assert dec.residual == np.inf
+        assert dec.a is None
+
+    def test_degenerate_but_unattainable(self, lbfgs_runs):
+        """A threefold subspace without complex rank-one members admits no settings pair.
+
+        Adding (E02 - E20)/sqrt(2) to the leading pair I/sqrt(3) and
+        (E01 - E10)/sqrt(2) keeps the best captured weight at 10/3, a deficit
+        of exactly 2/3. The sub-pencil certifies nothing, so L-BFGS runs, and
+        no restart certifies, so all of them run.
+        """
+        svd = svd_3x9(threefold_unattainable_matrix())
+        assert svd.degeneracy() == 3
+        dec = check_tightness(svd)
         assert len(lbfgs_runs) == tightness._RESTARTS
         assert not dec.found
         assert dec.residual == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-6)
@@ -235,6 +262,50 @@ class TestFailurePaths:
         )
         with pytest.raises(ValueError):
             assemble_settings(broken, corr)
+
+
+class TestRankOneRoute:
+    """At a nondegenerate leading value the pencil is V1 alone: a real rank-one V1 = a c^T certifies."""
+
+    def test_planted_rank_one(self, lbfgs_runs, rng):
+        """a = a' and c = c' give t1 = 0 and t2 = 2 a (x) c, and the B update completes them with b' = -b."""
+        for _ in range(200):
+            a, c = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+            corr = planted_corr(rng, np.kron(a, c))
+            assert corr.svd.degeneracy() == 1
+            dec = check_tightness(corr.svd)
+            assert dec.found
+            assert dec.residual <= 1e-12
+            for got, planted in ((dec.a, a), (dec.a_prime, a), (dec.c, c), (dec.c_prime, c)):
+                assert abs(got @ planted) == pytest.approx(1.0, abs=1e-12)
+            settings, value = assemble_settings(dec, corr)
+            assert value == pytest.approx(4.0 * corr.svd.singular_values[0], abs=1e-12)
+            np.testing.assert_allclose(settings.b_prime, -settings.b, atol=1e-12)
+        assert lbfgs_runs == []
+
+    def test_minor_check_never_rejects_a_certifying_candidate(self, rng):
+        """Around RESIDUAL_TOL, found is the ungated candidate's residual test.
+
+        V1 has singular values (s1, s2, s3), which put its candidate's
+        residual 2 sqrt(s2^2 + s3^2) within 50% of RESIDUAL_TOL, or within
+        1e-9 of it, where the rounding of the minors and of the residual is
+        as large as the bound's own slack.
+        """
+        outcomes = set()
+        for spread in (0.5, 1e-9) * 1000:
+            target = 0.5 * RESIDUAL_TOL * (1.0 + rng.uniform(-spread, spread))
+            s2 = target * rng.uniform(0.5, 1.0)
+            s3 = np.sqrt(target**2 - s2**2)
+            q1, q2 = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+            v = ((q1 * [np.sqrt(1.0 - target**2), s2, s3]) @ q2.T).ravel()
+            basis = (v / np.linalg.norm(v))[None, :]
+            u, _, vh = np.linalg.svd(basis[0].reshape(3, 3))
+            a, ap = tightness._balanced_pair(u[:, 0])
+            c, cp = tightness._balanced_pair(vh[0])
+            ungated = tightness._residual(basis, a, ap, c, cp) <= RESIDUAL_TOL
+            assert check_tightness(leading_corr(basis).svd).found == ungated
+            outcomes.add(ungated)
+        assert outcomes == {True, False}
 
 
 class TestStopRule:
