@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 invalid input or an unwritable output path, 3
-unphysical state, 4 filter annihilation, 5 bisection refused on a
+unphysical state, 4 filter annihilation, 5 threshold search refused on a
 non-monotone grid, 6 an internal cross-check failed (ConsistencyError).
 """
 
@@ -59,7 +59,7 @@ _EXIT_CODES = (
     (OSError, EXIT_USAGE),
 )
 
-# Grid steps finer than the bisection tolerance 1e-4 resolve nothing more.
+# A resource cap: a scan certifies each grid point once per mode before it writes anything.
 MAX_P_GRID_POINTS = 10_001
 
 
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--sweeps", type=int, default=OracleConfig.max_sweeps)
     p_oracle.set_defaults(func=_cmd_oracle)
 
-    p_scan = sub.add_parser("scan", help="activation scan or threshold bisection over p")
+    p_scan = sub.add_parser("scan", help="activation scan or violation threshold over p")
     p_scan.add_argument("--figure", choices=tuple(FIGURE_FAMILY), help="built-in activation scan")
     p_scan.add_argument("--family", choices=FAMILIES)
     p_scan.add_argument("--mode", choices=("unfiltered", "filtered"))

@@ -18,7 +18,7 @@ class ConsistencyError(RuntimeError):
 
 
 class NonMonotonePredicateError(RuntimeError):
-    """A grid predicate changed sign more than once, so bisection is refused.
+    """A grid predicate changed sign more than once, so the threshold search is refused.
 
     ``brackets`` holds every (p_lo, p_hi) grid interval containing a sign change.
     """

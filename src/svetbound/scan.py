@@ -51,10 +51,17 @@ see the same values at every point; it is skipped and the leading run's end
 point reused, which changes no result.
 
 A scan (figure_data, threshold_bisect) runs in the calling process. It
-certifies its p grid in p order, refuses a grid whose predicate changes sign
-more than once, and then bisects each remaining sign change, one mode after
-the other. Every point is seeded from its arguments alone, so the results,
-and the error a scan raises, do not depend on the number of cores.
+certifies its p grid in p order and refuses a grid whose predicate changes
+sign more than once. Each remaining sign change, one mode after the other,
+is then the root of that mode's margin: the bound its certified verdict
+follows, less 4 + VIOLATION_MARGIN, evaluated without certification. That is
+4 lambda1 - 4 - VIOLATION_MARGIN unfiltered, and 4 sigma1(C) e^{-phi} - 4 -
+VIOLATION_MARGIN filtered, the X-state supremum before it is clamped at the
+plateau 1, which keeps the margin smooth on both sides of the root. Where the
+margin is at most 0 the bound itself rules a violation out, so one
+certification per mode, just past the root on the violating side, checks the
+root. Every point is seeded from its arguments alone, so the results, and
+the error a scan raises, do not depend on the number of cores.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -79,9 +86,7 @@ from .filtering import CORRELATION_TABLE, FilteredAnalysis, FilterParams, filter
 from .optimizer import minimize
 from .seesaw import OracleConfig
 from .states import CHI_THETA, build_chi_state, build_ghz_noise_state
-from .svetlichny import BoundReport
-
-BISECT_TOL = 1e-4
+from .svetlichny import SVETLICHNY_BOUND, VIOLATION_MARGIN, BoundReport, unfiltered_bound
 
 # The built-in state families, and the family each activation figure scans.
 FAMILIES = ("chi", "ghz-noise")
@@ -115,6 +120,13 @@ NEWTON_MAX_STEPS = 100
 KERNEL_CHECK_TOL = 1e-9
 MAX_LAMBDA1 = math.sqrt(3.0) + KERNEL_CHECK_TOL
 
+# Width in p of the bracket that ends a threshold's root search. The violating
+# end, pushed ROOT_TOL further out, is certified: every family margin rises by
+# at least 4.29 per unit p at its root, so it clears 4 * SUPREMUM_TOL, the most
+# the filter ladder's finite filter may fall short of the supremum.
+ROOT_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+
 # Known boundary of the bilocal-model region for the chi family, quoted from
 # tabulated two-qubit results. Used only to annotate the activation window;
 # nothing in this package computes it.
@@ -144,7 +156,7 @@ class ScanSpec:
             raise ValueError(f"unknown family {self.family!r}, expected 'chi' or 'ghz-noise'")
         self.p_grid = np.asarray(self.p_grid, dtype=float)
         grid = self.p_grid
-        # Bisection brackets the sign change between neighbours, so the grid must ascend.
+        # A threshold's root search starts from the sign change between neighbours, so the grid must ascend.
         if (
             grid.ndim != 1
             or not np.all(np.isfinite(grid))
@@ -336,12 +348,12 @@ def _window_point(log_weights: np.ndarray, vertices: np.ndarray) -> tuple[np.nda
     raise ConsistencyError(f"window point: Newton did not converge in {NEWTON_MAX_STEPS} steps")
 
 
-def _x_state_path(rho: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Window point w, direction d and the supremum of lambda1' over diagonal filters of an X-state.
+def _coherence_limit(rho: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Window point w, direction d and sigma1(C) e^{-phi}, the X-state supremum before the plateau clamp.
 
-    lambda1' tends to the supremum along ln strengths w + t d as t grows (see
-    the module docstring). None when 0 lies outside the population hull while
-    C is nonzero, which positivity rules out and only rounding can cause.
+    None when 0 lies outside the population hull while C is nonzero, which
+    positivity rules out and only rounding can cause. Outside the hull with C
+    zero, the limit is 0 and w is 0.
     """
     populations = np.diagonal(rho).real
     face, d = _face(populations > 0)
@@ -349,13 +361,21 @@ def _x_state_path(rho: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.n
     sigma1 = float(np.linalg.svd(coherence, compute_uv=False)[0])
     if face.any():
         w, phi = _window_point(np.log(populations[face]), _VERTICES[face])
-        supremum = sigma1 * math.exp(-phi)
-        if supremum > 1.0:
-            return w, d, supremum
-    elif coherence.any():
-        return None
+        return w, d, sigma1 * math.exp(-phi)
+    return None if coherence.any() else (np.zeros(3), d, 0.0)
+
+
+def _x_state_path(rho: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Window point w, direction d and the supremum of lambda1' over diagonal filters of an X-state.
+
+    lambda1' tends to the supremum along ln strengths w + t d as t grows (see
+    the module docstring). None where ``_coherence_limit`` is None.
+    """
+    path = _coherence_limit(rho, kernel)
+    if path is None or path[2] > 1.0:
+        return path
     # The plateau 1 of the zzz entry, approached at the vertex of the largest population.
-    return np.zeros(3), _VERTICES[int(np.argmax(populations))].astype(float), 1.0
+    return np.zeros(3), _VERTICES[int(np.argmax(np.diagonal(rho).real))].astype(float), 1.0
 
 
 def _checked(rho: np.ndarray, params: FilterParams, kernel_value: float) -> tuple[FilterParams, FilteredAnalysis]:
@@ -538,6 +558,104 @@ def _violates_at(spec: ScanSpec, p: float, mode: str) -> bool:
     return report.violates
 
 
+def _margin_at(spec: ScanSpec, p: float, mode: str) -> float:
+    """The bound that ``mode``'s verdict follows at p, less 4 + VIOLATION_MARGIN, without certification.
+
+    Unfiltered, 4 lambda1; filtered, 4 sigma1(C) e^{-phi}, the X-state
+    supremum before the plateau clamp (see the module docstring). Raises
+    ConsistencyError where ``_coherence_limit`` is None.
+    """
+    rho = build_family_state(spec.family, p)
+    if mode == "unfiltered":
+        bound = unfiltered_bound(rho).bound
+    else:
+        path = _coherence_limit(rho, _filter_kernel(rho))
+        if path is None:
+            raise ConsistencyError(f"{spec.family} at p = {p!r}: coherences outside the population hull")
+        bound = 4.0 * path[2]
+    return bound - (SVETLICHNY_BOUND + VIOLATION_MARGIN)
+
+
+def _root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float, float, float]:
+    """Ends (b, f(b), c, f(c)) of a bracket around the sign change of f in [lo, hi].
+
+    A sign here is f > 0 against f <= 0, and f_lo and f_hi must differ in it;
+    b is the end with the smaller |f|, and |c - b| <= ROOT_TOL + 4 eps |b|.
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4): inverse quadratic or secant interpolation where it shrinks
+    the steps fast enough, bisection where it does not, and a step of at
+    least about ROOT_TOL / 2. Each new point is then projected into ITP's
+    window around the bracket's midpoint (Oliveira and Takahashi, ACM TOMS 47,
+    5 (2020)), whose radius shrinks so that no search takes more than one
+    evaluation beyond bisection's count. Only a margin that is not a number
+    can leave the bracket open after that many; it raises ConsistencyError.
+    """
+    limit = max(math.ceil(math.log2((hi - lo) / ROOT_TOL)), 0) + 1
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc = a, fa
+    d = e = b - a
+    for used in range(limit + 1):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5 * ROOT_TOL
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b, fb, c, fc
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                num, den = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                num = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                den = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if num > 0.0:
+                den = -den
+            num = abs(num)
+            if 2.0 * num < min(3.0 * m * den - abs(tol * den), abs(e * den)):
+                e, d = d, num / den
+            else:
+                d = e = m
+        x = b + (d if abs(d) > tol else math.copysign(tol, m))
+        radius = max(0.5 * ROOT_TOL * 2.0 ** (limit - used) - abs(m), 0.0)
+        if abs(x - (b + m)) > radius:
+            x = b + m + math.copysign(radius, x - b - m)
+            d = e = x - b
+        a, fa = b, fb
+        b, fb = x, f(x)
+    raise ConsistencyError(f"threshold root search: no bracket within {ROOT_TOL:g} after {limit} steps")
+
+
+def _threshold(spec: ScanSpec, mode: str, lo: float, hi: float, flag_lo: bool) -> float:
+    """Root of ``mode``'s margin between the grid points lo and hi, whose certified verdicts differ.
+
+    The margin's signs at lo and hi must match those verdicts, and the
+    verdict certified ROOT_TOL beyond the violating end of the final bracket
+    must be a violation; either failure raises ConsistencyError.
+    """
+
+    def margin(p):
+        return _margin_at(spec, p, mode)
+
+    f_lo, f_hi = margin(lo), margin(hi)
+    for p, f, flag in ((lo, f_lo, flag_lo), (hi, f_hi, not flag_lo)):
+        if (f > 0.0) != flag:
+            raise ConsistencyError(
+                f"{mode} margin {f!r} at grid point p = {p!r} contradicts its certified verdict {flag}"
+            )
+    b, fb, c, fc = _root(margin, lo, hi, f_lo, f_hi)
+    end = b if fb > 0.0 else c
+    p = min(max(end + (-ROOT_TOL if flag_lo else ROOT_TOL), lo), hi)
+    if not _violates_at(spec, p, mode):
+        raise ConsistencyError(f"{mode} verdict at p = {p!r}, past the margin's root {b!r}, is no violation")
+    return b
+
+
 # The record field that holds each mode's predicate value.
 _VIOLATES = {"unfiltered": "violates_before", "filtered": "violates_after"}
 
@@ -546,15 +664,13 @@ def _scan(spec: ScanSpec, mode: str | None) -> tuple[list, dict[str, float | Non
     """Grid results of a scan, and each mode's threshold (None without a sign change on the grid).
 
     With ``mode`` None the grid holds the record at each p point and both
-    modes are bisected, in _VIOLATES order; otherwise it holds the ``mode``
+    modes get a threshold, in _VIOLATES order; otherwise it holds the ``mode``
     predicate. The grid is certified in p order, so the first grid point to
     fail raises and no later one is started. A mode whose predicate changes
     sign more than once on the grid raises NonMonotonePredicateError with
-    every bracket, the first such mode in _VIOLATES order, before any
-    bisection step runs. Each remaining sign change is then bisected to
-    BISECT_TOL: a midpoint whose predicate equals the value at the lower end
-    becomes the new lower end, any other the upper end, and the threshold is
-    the midpoint 0.5 * (lo + hi) once hi - lo <= BISECT_TOL. A failed step
+    every bracket, the first such mode in _VIOLATES order, before any root
+    search runs. Each remaining sign change is then the root of the mode's
+    margin, found by ``_threshold`` inside the grid bracket; a failure there
     raises at once. Every point is seeded from ``spec`` alone.
     """
     modes = tuple(_VIOLATES) if mode is None else (mode,)
@@ -575,18 +691,11 @@ def _scan(spec: ScanSpec, mode: str | None) -> tuple[list, dict[str, float | Non
 
     found: dict[str, float | None] = {}
     for m in modes:
-        if not changes[m]:
+        if changes[m]:
+            i = changes[m][0]
+            found[m] = _threshold(spec, m, ps[i], ps[i + 1], flags[m][i])
+        else:
             found[m] = None
-            continue
-        i = changes[m][0]
-        lo, hi, flag_lo = ps[i], ps[i + 1], flags[m][i]
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if _violates_at(spec, mid, m) == flag_lo:
-                lo = mid
-            else:
-                hi = mid
-        found[m] = 0.5 * (lo + hi)
     return results, found
 
 
@@ -595,8 +704,11 @@ def threshold_bisect(spec: ScanSpec, mode: str) -> float | None:
 
     The grid predicate must change sign exactly once; multiple changes raise
     NonMonotonePredicateError carrying every bracketing interval, since a
-    bisection there could silently pick an arbitrary crossing. The grid and
-    the bisection run as a scan (see the module docstring).
+    root search there could silently pick an arbitrary crossing. The
+    threshold is the root of the mode's margin inside the grid bracket, to
+    ROOT_TOL, checked by one certification past it; the name is kept from
+    when it was a bisection of the verdict. The grid and the root search run
+    as a scan (see the module docstring).
     """
     if mode not in _VIOLATES:
         raise ValueError(f"unknown mode {mode!r}, expected 'unfiltered' or 'filtered'")
@@ -612,7 +724,7 @@ def figure_data(figure: str, spec: ScanSpec | None = None) -> ActivationReport:
     boundary. 'fig2' scans the ghz-noise family and pairs the filtered with
     the unfiltered threshold.
 
-    The grid and both bisections run as one scan (see the module docstring);
+    The grid and both root searches run as one scan (see the module docstring);
     the unfiltered grid is checked before the filtered one.
     """
     if figure not in FIGURE_FAMILY:
@@ -659,5 +771,11 @@ def write_csv(report: ActivationReport, path: str) -> None:
 
 
 def write_json(report: ActivationReport, path: str) -> None:
-    """Whole report as JSON; floats keep full repr precision."""
-    atomic_write_text(path, json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+    """Whole report as JSON; floats keep full repr precision.
+
+    The report's fields and each record's are read into plain dicts, with no
+    deep copy: every value is a number, a string, a tuple or a flat dict.
+    """
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    payload["records"] = [vars(rec) for rec in report.records]
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -44,7 +44,7 @@ import numpy as np
 
 from .linalg import SVDResult
 from .optimizer import minimize
-from .seesaw import bilinear_value, correlation_tensor, update_b_pair
+from .seesaw import _TWIST, _block, _conj, _images, _layout, _update, _value, correlation_tensor
 from .svetlichny import CorrelationMatrix, MeasurementSettings
 
 RESIDUAL_TOL = 1e-6
@@ -269,6 +269,11 @@ def assemble_settings(
         raise ValueError("cannot assemble settings from a failed tightness search")
     t = correlation_tensor(corr.matrix)
     a, ap, c, cp = decomposition.a, decomposition.a_prime, decomposition.c, decomposition.c_prime
-    b, bp = update_b_pair(t, a, ap, c, cp, previous=_E_XY)
+    # One (3, 2) block per party, as the see-saw keeps them: B's step writes
+    # into B's, and the value reads all three, with no further copies.
+    z_a, block_b, block_c = _conj(_block(a, ap)), _block(*_E_XY), _block(c, cp)
+    _update(_layout(t, 1), z_a, _TWIST * _conj(block_c), block_b)
+    value = _value(block_c, _images(_layout(t, 2), z_a, _TWIST * _conj(block_b)))
+    b, bp = block_b.T
     settings = MeasurementSettings(a=a, a_prime=ap, b=b, b_prime=bp, c=c, c_prime=cp)
-    return settings, bilinear_value(t, a, ap, b, bp, c, cp)
+    return settings, float(value[0])

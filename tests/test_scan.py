@@ -22,11 +22,11 @@ from svetbound.errors import ConsistencyError, NonMonotonePredicateError
 from svetbound.filtering import FilterParams, FilterTriple, filtered_bound
 from svetbound.linalg import _PAULI_PRODUCTS, pauli_moments
 from svetbound.scan import (
-    BISECT_TOL,
     FIGURE_FAMILY,
     FILTER_LOG_RANGE,
     REFINE_MAX_EVALS,
     REFINE_TOLS,
+    ROOT_TOL,
     PointRecord,
     ScanSpec,
     _box_search,
@@ -1016,6 +1016,142 @@ class TestThresholdBisect:
             threshold_bisect(spec, "sideways")
 
 
+CRITERION_GRID = np.round(np.arange(0.0, 1.0001, 0.05), 10)
+# Criterion 6's thresholds and their closed forms: 4 sqrt(2) p = 4, and the
+# filtered supremum 1 at 1/3 for ghz-noise and 1/(2 + cos 2 theta) for chi.
+CLOSED_FORMS = (
+    ("ghz-noise", "unfiltered", 1.0 / SQ2),
+    ("ghz-noise", "filtered", 1.0 / 3.0),
+    ("chi", "filtered", 1.0 / (2.0 + math.cos(2.0 * CHI_THETA))),
+)
+
+
+class TestMarginRoots:
+    """Each threshold is the root of its mode's margin, checked by one certification past it."""
+
+    @pytest.mark.parametrize("family, mode, closed_form", CLOSED_FORMS)
+    def test_closed_form_on_the_criterion_grid(self, family, mode, closed_form):
+        threshold = threshold_bisect(ScanSpec(family=family, p_grid=CRITERION_GRID), mode)
+        assert abs(threshold - closed_form) <= 1e-9
+
+    def test_closed_forms_on_the_default_grid(self):
+        fig2, fig1 = figure_data("fig2"), figure_data("fig1")
+        found = (fig2.p_violation_unfiltered, fig2.p_violation_filtered, fig1.p_violation_filtered)
+        for threshold, (_, _, closed_form) in zip(found, CLOSED_FORMS):
+            assert abs(threshold - closed_form) <= 1e-9
+        assert fig1.activation_window == (fig1.p_violation_filtered, scan_module.BILOCAL_BOUNDARY_P)
+
+    def test_one_certification_per_mode(self, monkeypatch):
+        """After the grid's certifications, each mode certifies once, on its violating side of the threshold."""
+        calls = []
+        inner = scan_module._certify_at
+
+        def spy(spec, rho, mode):
+            calls.append(mode)
+            return inner(spec, rho, mode)
+
+        monkeypatch.setattr(scan_module, "_certify_at", spy)
+        report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=CRITERION_GRID))
+        points = len(CRITERION_GRID)
+        assert calls == ["unfiltered", "filtered"] * points + ["unfiltered", "filtered"]
+        assert report.p_violation_unfiltered is not None and report.p_violation_filtered is not None
+
+        calls.clear()
+        assert threshold_bisect(ScanSpec(family="chi", p_grid=CRITERION_GRID), "filtered") is not None
+        assert calls == ["filtered"] * (points + 1)
+
+    @pytest.mark.parametrize("family, mode, closed_form", CLOSED_FORMS)
+    def test_few_margin_evaluations(self, monkeypatch, family, mode, closed_form):
+        """Smooth margins, the filtered one unclamped, let the interpolation converge in a few steps."""
+        calls = []
+        inner = scan_module._margin_at
+
+        def spy(spec, p, m):
+            calls.append(p)
+            return inner(spec, p, m)
+
+        monkeypatch.setattr(scan_module, "_margin_at", spy)
+        threshold_bisect(ScanSpec(family=family, p_grid=CRITERION_GRID), mode)
+        assert len(calls) <= 8
+
+    def test_unconfirmed_violation_raises(self, monkeypatch):
+        """A certification past the root that reports no violation is a ConsistencyError."""
+        grid = [0.6, 0.8]
+        inner = scan_module._violates_at
+        monkeypatch.setattr(scan_module, "_violates_at", lambda spec, p, mode: inner(spec, p, mode) and p in grid)
+        with pytest.raises(ConsistencyError, match="no violation"):
+            threshold_bisect(ScanSpec(family="ghz-noise", p_grid=grid), "unfiltered")
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_grid_end_margin_contradiction_raises(self, monkeypatch, shift):
+        """A margin whose sign at a grid end contradicts that end's certified verdict is a ConsistencyError."""
+        inner = scan_module._margin_at
+        monkeypatch.setattr(scan_module, "_margin_at", lambda spec, p, mode: inner(spec, p, mode) + shift)
+        with pytest.raises(ConsistencyError, match="contradicts its certified verdict"):
+            threshold_bisect(ScanSpec(family="ghz-noise", p_grid=[0.2, 0.5]), "filtered")
+
+    def test_margin_without_a_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(scan_module, "_coherence_limit", lambda rho, kernel: None)
+        with pytest.raises(ConsistencyError, match="population hull"):
+            threshold_bisect(ScanSpec(family="chi", p_grid=[0.2, 0.5]), "filtered")
+
+
+def bisection_steps(lo: float, hi: float) -> int:
+    """Midpoints a plain bisection evaluates until hi - lo <= ROOT_TOL."""
+    steps = 0
+    while hi - lo > ROOT_TOL:
+        hi = 0.5 * (lo + hi)
+        steps += 1
+    return steps
+
+
+class TestRoot:
+    """scan._root: a bracket ROOT_TOL wide up to rounding, within one evaluation of bisection's count."""
+
+    @staticmethod
+    def solve(f, lo, hi):
+        evaluations = []
+
+        def counted(x):
+            evaluations.append(x)
+            return f(x)
+
+        b, fb, c, fc = scan_module._root(counted, lo, hi, f(lo), f(hi))
+        assert abs(c - b) <= ROOT_TOL + 4.0 * np.finfo(float).eps * abs(b)
+        assert (fb > 0.0) != (fc > 0.0)
+        assert all(min(lo, hi) < x < max(lo, hi) for x in evaluations)
+        return b, c, len(evaluations)
+
+    def test_jumps(self):
+        """Steps, a linear margin with a jump and flat cubics with one: no worse than bisection plus one."""
+        rng = np.random.default_rng(3)
+        lo, hi = 0.3, 0.4
+        for trial in range(400):
+            r = rng.uniform(lo, hi)
+            below, above = -rng.uniform(0.01, 10.0), rng.uniform(0.01, 10.0)
+            kind = trial % 4
+            sign = -1.0 if kind == 3 else 1.0
+
+            def f(x, r=r, below=below, above=above, kind=kind, sign=sign):
+                jump = below if x <= r else above
+                if kind == 0:
+                    return jump
+                if kind == 1:
+                    return (x - r) + 1e-3 * jump
+                return sign * ((x - r) ** 3 + (0.0 if x <= r else above))
+
+            b, c, used = self.solve(f, lo, hi)
+            assert min(b, c) <= r <= max(b, c) + ROOT_TOL
+            assert used <= bisection_steps(lo, hi) + 1
+
+    def test_smooth_margins_converge_fast(self):
+        """A linear margin takes the secant root and one step past it; a curved one a few more."""
+        assert self.solve(lambda x: 4.0 * x - 1.5, 0.3, 0.4)[2] <= 2
+        b, _, used = self.solve(lambda x: math.sqrt(x) - 0.6, 0.3, 0.4)
+        assert b == pytest.approx(0.36, abs=ROOT_TOL)
+        assert used <= 6
+
+
 class TestRecordsThreshold:
     """The filtered sign change read off the grid records, through figure_data."""
 
@@ -1152,48 +1288,39 @@ def fake_record(p: float, before: bool = False, after: bool = False) -> PointRec
 
 @pytest.fixture
 def fake_scan(monkeypatch):
-    """Replace _point_record and _violates_at by functions of p alone that log each call.
+    """Replace _point_record, _violates_at and _margin_at by functions of p alone that log each call.
 
-    ``fake_scan(record, predicate)`` installs ``record(p)`` as the grid task and
-    ``predicate(p, mode)`` as the bisection step (and the threshold_bisect grid
-    task); either may raise. Each call appends one entry to a list: its kind
-    ("record" or "predicate"), p, mode and, once it has returned, ``"ok": True``.
-    It returns that list.
+    ``fake_scan(record, predicate, margin)`` installs ``record(p)`` as the grid
+    task, ``predicate(p, mode)`` as the certified verdict (the threshold_bisect
+    grid task and the root phase's one certification) and ``margin(p, mode)``
+    as the margin; any of them may raise, and without ``margin`` a margin
+    evaluation fails the test. Each call appends one entry to a list: its kind
+    ("record", "predicate" or "margin"), p, mode and, once it has returned,
+    ``"ok": True``. It returns that list.
     """
 
-    def install(record, predicate):
+    def install(record, predicate, margin=None):
         log = []
 
-        def point_record(spec, p):
-            log.append(dict(kind="record", p=p))
-            out = record(p)
-            log.append(dict(kind="record", p=p, ok=True))
-            return out
+        def logged(kind, fn):
+            def call(spec, p, *mode):
+                entry = dict(kind=kind, p=p, mode=mode[0] if mode else None)
+                log.append(entry)
+                out = fn(p, *mode)
+                log.append(dict(entry, ok=True))
+                return out
 
-        def violates_at(spec, p, mode):
-            log.append(dict(kind="predicate", p=p, mode=mode))
-            out = predicate(p, mode)
-            log.append(dict(kind="predicate", p=p, mode=mode, ok=True))
-            return out
+            return call
 
-        monkeypatch.setattr(scan_module, "_point_record", point_record)
-        monkeypatch.setattr(scan_module, "_violates_at", violates_at)
+        def unexpected_margin(p, mode):
+            pytest.fail("a margin was evaluated")
+
+        monkeypatch.setattr(scan_module, "_point_record", logged("record", record))
+        monkeypatch.setattr(scan_module, "_violates_at", logged("predicate", predicate))
+        monkeypatch.setattr(scan_module, "_margin_at", logged("margin", margin or unexpected_margin))
         return log
 
     return install
-
-
-def plain_bisection(lo: float, hi: float, above) -> tuple[float, list[float]]:
-    """Threshold and midpoints of a serial bisection of ``above`` (False at lo) to BISECT_TOL."""
-    mids = []
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), mids
 
 
 GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
@@ -1209,36 +1336,49 @@ def crossing_predicate(p: float, mode: str) -> bool:
     return p > CROSSING[mode]
 
 
+def crossing_margin(p: float, mode: str) -> float:
+    """A smooth margin with its root at the crossing: positive exactly where the fake predicate holds."""
+    return math.expm1(p - CROSSING[mode])
+
+
 class TestParallelScan:
     """Task order and error precedence of a scan, which runs every task in the calling process."""
 
-    def test_matches_plain_bisection(self, fake_scan):
-        """The records are the grid's, and each threshold is a plain bisection of its own sign change."""
-        fake_scan(crossing_record, crossing_predicate)
+    def test_thresholds_are_margin_roots(self, fake_scan):
+        """The records are the grid's, and each threshold is its own margin's root, to ROOT_TOL."""
+        fake_scan(crossing_record, crossing_predicate, crossing_margin)
         report = figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
         assert report.records == [crossing_record(p) for p in GRID]
-        unfiltered = plain_bisection(0.5, 0.6, lambda p: crossing_predicate(p, "unfiltered"))[0]
-        filtered = plain_bisection(0.2, 0.3, lambda p: crossing_predicate(p, "filtered"))[0]
-        assert (report.p_violation_unfiltered, report.p_violation_filtered) == (unfiltered, filtered)
+        assert report.p_violation_unfiltered == pytest.approx(CROSSING["unfiltered"], abs=ROOT_TOL)
+        assert report.p_violation_filtered == pytest.approx(CROSSING["filtered"], abs=ROOT_TOL)
 
-    def test_bisection_follows_the_grid(self, fake_scan):
-        """Every step starts after the last grid point, in _VIOLATES order, at a plain bisection's midpoints."""
-        log = fake_scan(crossing_record, crossing_predicate)
+    def test_root_phase_follows_the_grid(self, fake_scan):
+        """After the grid, each mode in turn takes its margin at the bracket ends, then inside, then one certification."""
+        log = fake_scan(crossing_record, crossing_predicate, crossing_margin)
         figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
         started = [t for t in log if not t.get("ok")]
         assert [t["p"] for t in started[: len(GRID)]] == GRID
         assert {t["kind"] for t in started[: len(GRID)]} == {"record"}
-        unfiltered = plain_bisection(0.5, 0.6, lambda p: crossing_predicate(p, "unfiltered"))[1]
-        filtered = plain_bisection(0.2, 0.3, lambda p: crossing_predicate(p, "filtered"))[1]
-        assert [(t["kind"], t["mode"], t["p"]) for t in started[len(GRID) :]] == [
-            ("predicate", "unfiltered", p) for p in unfiltered
-        ] + [("predicate", "filtered", p) for p in filtered]
+        phases = started[len(GRID) :]
+        split = next(k for k, t in enumerate(phases) if t["mode"] == "filtered")
+        for m, calls, (lo, hi) in (
+            ("unfiltered", phases[:split], (0.5, 0.6)),
+            ("filtered", phases[split:], (0.2, 0.3)),
+        ):
+            assert {t["mode"] for t in calls} == {m}
+            assert [t["kind"] for t in calls] == ["margin"] * (len(calls) - 1) + ["predicate"]
+            assert [t["p"] for t in calls[:2]] == [lo, hi]
+            assert all(lo < t["p"] < hi for t in calls[2:])
+            certified = calls[-1]["p"]
+            assert 0.0 < certified - CROSSING[m] <= 3 * ROOT_TOL
 
-        log = fake_scan(None, lambda p, mode: p > 0.45)
+        log = fake_scan(None, lambda p, mode: p > 0.45, lambda p, mode: p - 0.45)
         threshold = threshold_bisect(ScanSpec(family="chi", p_grid=GRID), "filtered")
-        threshold_ref, mids = plain_bisection(0.4, 0.5, lambda p: p > 0.45)
-        assert threshold == threshold_ref
-        assert [t["p"] for t in log if not t.get("ok")] == GRID + mids
+        assert threshold == pytest.approx(0.45, abs=ROOT_TOL)
+        started = [t for t in log if not t.get("ok")]
+        assert [t["p"] for t in started[: len(GRID)]] == GRID
+        root_phase = [t["kind"] for t in started[len(GRID) :]]
+        assert root_phase == ["margin"] * (len(root_phase) - 1) + ["predicate"]
 
     def test_no_step_over_a_non_monotone_grid(self, fake_scan):
         """Both grids change sign twice; the unfiltered one is refused, with every bracket, before any step."""
@@ -1267,18 +1407,19 @@ class TestParallelScan:
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_failing_step_raises_after_the_grid_checks(self, fake_scan, case):
-        """A failed bisection step is raised once the whole grid is in and monotone, and not over a non-monotone grid."""
+        """A failed root-phase step is raised once the whole grid is in and monotone, not over a non-monotone grid."""
 
         def step(p, mode):
             raise RuntimeError(f"step at {p}")
 
         if case == 1:
-            log = fake_scan(lambda p: fake_record(p, after=p > 0.15), step)
-            with pytest.raises(RuntimeError, match="step at 0.15"):
+            log = fake_scan(lambda p: fake_record(p, after=p > 0.15), step, step)
+            with pytest.raises(RuntimeError, match=r"step at 0\.1$"):
                 figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
             assert [t["p"] for t in log if t["kind"] == "record" and t.get("ok")] == GRID
+            assert [t["kind"] for t in log if t["kind"] != "record"] == ["margin"]
         else:
-            log = fake_scan(lambda p: fake_record(p, after=p in (0.2, 0.3) or p > 0.65), step)
+            log = fake_scan(lambda p: fake_record(p, after=p in (0.2, 0.3) or p > 0.65), step, step)
             with pytest.raises(NonMonotonePredicateError) as err:
                 figure_data("fig2", ScanSpec(family="ghz-noise", p_grid=GRID))
             assert err.value.brackets == [(0.1, 0.2), (0.3, 0.4), (0.6, 0.7)]
