@@ -16,9 +16,8 @@ def _certify(
     corr: CorrelationMatrix,
     oracle_config: OracleConfig | None,
 ) -> BoundReport:
-    config = oracle_config or OracleConfig()
     s1 = float(corr.svd.singular_values[0])
-    decomposition = check_tightness(corr.svd, seed=config.seed)
+    decomposition = check_tightness(corr.svd)
 
     if decomposition.found:
         settings, bilinear = assemble_settings(decomposition, corr)
@@ -28,7 +27,7 @@ def _certify(
                 f"trace and bilinear routes disagree: {achieved!r} vs {bilinear!r}"
             )
     else:
-        oracle = seesaw_from_matrix(corr.matrix, config)
+        oracle = seesaw_from_matrix(corr.matrix, oracle_config or OracleConfig())
         achieved, settings = oracle.value, oracle.settings
 
     return BoundReport(
@@ -50,8 +49,8 @@ def certify_unfiltered(
 
     The report carries the bound, whether settings attaining it exist, and the
     expectation of settings built by one route: the tight decomposition when
-    it is found, else the see-saw from seeded random starts. The seed of
-    ``oracle_config`` seeds whichever searches run.
+    it is found, else the see-saw from seeded random starts, which the seed of
+    ``oracle_config`` seeds.
     """
     corr = correlation_matrix(rho)
     return _certify(rho, corr, oracle_config)

@@ -1,10 +1,9 @@
 """scipy's ``minimize``, imported on its first call.
 
 Importing scipy.optimize costs more than the rest of the package together,
-and only the box search for non-X states (``scan``) and the L-BFGS tightness
-fallback (``tightness``) call it; neither state family reaches either. Both
-modules bind this ``minimize`` under their own name, so replacing
-``scan.minimize`` or ``tightness.minimize`` still intercepts every call.
+and only the box search for non-X states calls it, which neither state
+family reaches. ``scan`` binds this ``minimize`` under its own name, so
+replacing ``scan.minimize`` still intercepts every call.
 
 scipy's import loads its own OpenBLAS, on the thread count the environment
 gives it. Right after the import, each OpenBLAS it loaded is set to the

@@ -6,9 +6,9 @@ the leading right-singular subspace of the correlation matrix. Since
 |t1|^2 + |t2|^2 = 4 for any unit settings, that containment is equivalent to
 |B t1|^2 + |B t2|^2 = 4 for an orthonormal basis B of the subspace. The
 residual, the distance sqrt(4 - |B t1|^2 - |B t2|^2) of (t1, t2) from the
-subspace, decides ``found`` on every route. The exact route computes it as
-the norm of the components of t1 and t2 off the subspace, which loses no
-digits to the subtraction; the L-BFGS fallback minimizes the deficit itself.
+subspace, decides ``found`` for every candidate. It is computed as the norm
+of the components of t1 and t2 off the subspace, which loses no digits to the
+subtraction.
 
 As 3x3 matrices, T1 + i T2 = (a + i a')(c + i c')^T is rank one. Conversely,
 any nonzero rank-one complex matrix alpha gamma^T in the complexified
@@ -18,21 +18,52 @@ parts of e^{i phi} alpha equal in norm, and normalized they are a and a'; c
 and c' come from gamma the same way. T1 + i T2 is then a complex multiple of
 alpha gamma^T, so t1 and t2 lie in the subspace.
 
-So the first route is exact. A k-fold leading value takes its candidates
-from the pencil of its first min(k, 2) leading right vectors as 3x3 matrices.
-At k = 1 the candidate is V1: a real rank-one V1 = a c^T gives a = a', c = c'
-and t1 = 0, and assemble_settings completes it with b' = -b. Its residual is
-2 sqrt(1 - s1^2) in V1's singular values s1 >= s2 >= s3, so V1's squared 2x2
-minors, which sum to at most 1 - s1^2, reject it above RESIDUAL_TOL^2 with no
-SVD, and with a factor four to spare for rounding. At k = 2 the rank-one
-members are the common roots of the nine minors of s V1 + t V2, binary
-quadratics in (s, t). Each is a root of the dominant right-singular vector
-of their 9x3 coefficient matrix, so its two roots, t = 0 and s = 0 included,
-are the candidates. Both pencils are complete. A threefold value's
-sub-pencil, which certifies the zero matrix at once, is not: only there does
-a seeded multistart L-BFGS run on the residual over the four outer Bloch
-vectors, in spherical angles with an analytic gradient, which also gives an
-unattainable threefold subspace its residual.
+So the search is for rank-one members, and it is exact. A k-fold leading
+value takes its first candidates from the pencil of its first min(k, 2)
+leading right vectors as 3x3 matrices. At k = 1 the candidate is V1: a real
+rank-one V1 = a c^T gives a = a', c = c' and t1 = 0, and assemble_settings
+completes it with b' = -b. Its residual is 2 sqrt(1 - s1^2) in V1's singular
+values s1 >= s2 >= s3, so V1's squared 2x2 minors, which sum to at most
+1 - s1^2, reject it above RESIDUAL_TOL^2 with no SVD, and with a factor four
+to spare for rounding. At k = 2 the rank-one members are the common roots of
+the nine minors of s V1 + t V2, binary quadratics in (s, t). Each is a root
+of the dominant right-singular vector of their 9x3 coefficient matrix, so
+its two roots, t = 0 and s = 0 included, are the candidates. Both pencils
+are complete: a pencil with three rank-one members is rank one throughout.
+
+At k = 3 the members x = (s, t, u) -> s V1 + t V2 + u V3 form a complex
+projective plane, and the sub-pencil is its line u = 0. A curve of rank-one
+members meets every line, so the sub-pencil certifies a span that holds one,
+and any root on that line. Once it fails, the roots are isolated, none has
+u = 0, and no three lie on a line. Nor are there four: the line through two
+of them would meet the line through the other two in a rank-two member,
+whose column and row spaces would hold all four, so the span would lie in a
+2x2 block, where det = 0 is a conic of rank-one members. The nine minors are
+ternary quadrics with a 9x6 coefficient matrix Q on the monomials s^2, s t,
+s u, t^2, t u and u^2 (Stetter, Numerical Polynomial Algebra, SIAM 2004).
+Each root's monomial vector lies in ker Q; read as a symmetric matrix it is
+x x^T, and the symmetric rank-one matrices in ker Q are exactly these. As no
+three roots are collinear, their matrices are independent, so r = dim ker Q
+is at least the number of roots. The kernel is read as spanned by the one,
+two and three smallest right singular vectors of Q in turn, so no rank
+tolerance enters: a wrong r only adds candidates that fail the residual test.
+
+- r = 1: a root's x x^T spans the kernel, and its largest column is x.
+- r = 2: the matrices x x^T form a surface that holds no line, so the pencil
+  of the two kernel matrices has at most two rank-one members, found as the
+  pencils above find theirs.
+- r = 3 with three roots X = (x1, x2, x3): the kernel vectors' monomials of
+  x u, x s and x t are X diag(u) G, X diag(s) G and X diag(t) G for some
+  invertible G, and as u is nonzero at every root, the shift
+  (X diag(s) G)(X diag(u) G)^{-1} = X diag(s / u) X^{-1} has the roots as
+  eigenvectors; so do the shifts by t and by s + t. Two roots share an
+  eigenvalue of a shift only if the line through them passes through V2, V1
+  or V1 - V2, and a root on two such lines would put both on u = 0. So every
+  root is the eigenvector of a simple eigenvalue of one of the three shifts.
+
+The argument does not cover r = 3 with fewer than three roots, or r >= 4,
+after a failed sub-pencil. Such a span would report not found, as an
+unattainable one does, and certification would run the see-saw.
 """
 
 from __future__ import annotations
@@ -43,13 +74,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SVDResult
-from .optimizer import minimize
+# minimize is not called here. The name stays bound because bench/spans.py
+# wraps svetbound.tightness.minimize.
+from .optimizer import minimize  # noqa: F401
 from .seesaw import _TWIST, _block, _conj, _images, _layout, _update, _value, correlation_tensor
 from .svetlichny import CorrelationMatrix, MeasurementSettings
 
 RESIDUAL_TOL = 1e-6
-_RESTARTS = 64
-_LBFGS_OPTIONS = {"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14}
 
 # Flat indices of the four corners of the nine 2x2 minors of a row-major 3x3
 # matrix, each corner a (row pair, column pair) grid: upper left, upper right,
@@ -57,46 +88,16 @@ _LBFGS_OPTIONS = {"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14}
 _PAIR_ENDS = (np.array([0, 0, 1]), np.array([1, 2, 2]))
 _MINOR_CORNERS = np.array([3 * rows[:, None] + cols for rows in _PAIR_ENDS for cols in _PAIR_ENDS])
 
+# The monomials s^2, s t, s u, t^2, t u, u^2 of x = (s, t, u) as the entries of
+# x x^T, and the 9x6 matrix that adds the coefficients of x_j x_k and x_k x_j.
+_SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_FOLD = np.eye(6)[_SYMMETRIC.ravel()]
+# The monomials of x u, x s and x t among the six.
+_SHIFT_ROWS = (_SYMMETRIC[2], _SYMMETRIC[0], _SYMMETRIC[1])
+
 # The (b, b') that assemble_settings keeps where B's image vanishes: e_x and e_y.
 _E_XY = np.eye(3)[:2]
 _E_XY.flags.writeable = False
-
-
-def _units_from_angles(ang: np.ndarray) -> np.ndarray:
-    """Four unit vectors (a, a', c, c') from interleaved polar/azimuthal angles."""
-    th, ph = ang[0::2], ang[1::2]
-    st, ct = np.sin(th), np.cos(th)
-    return np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
-
-
-def _objective_and_grad(ang: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndarray]:
-    # Certified settings depend on these floats to the last bit through the
-    # L-BFGS path. The outer products equal np.kron of the vectors, and the
-    # stacked matmul gives each gradient entry the dot product a separate
-    # vector @ vector call would.
-    th, ph = ang[0::2], ang[1::2]
-    st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-    a, ap, c, c_p = np.array([st * cp, st * sp, ct]).T.copy()
-    outer, dot = np.multiply.outer, np.dot
-    t1 = (outer(a, c) - outer(ap, c_p)).ravel()
-    t2 = (outer(a, c_p) + outer(ap, c)).ravel()
-    bt1, bt2 = dot(basis, t1), dot(basis, t2)
-    f = 4.0 - dot(bt1, bt1) - dot(bt2, bt2)
-
-    # Gradients of the captured norm with respect to the four unit vectors,
-    # then through each vector's polar and azimuthal angle.
-    twice = 2.0 * basis.T
-    h1, h2 = dot(twice, bt1).reshape(3, 3), dot(twice, bt2).reshape(3, 3)
-    d = np.array([
-        -(dot(h1, c) + dot(h2, c_p)),
-        dot(h1, c_p) - dot(h2, c),
-        -(dot(h1.T, a) + dot(h2.T, ap)),
-        dot(h1.T, ap) - dot(h2.T, a),
-    ])
-    jac = np.empty((4, 3, 2))
-    jac[:, 0, 0], jac[:, 1, 0], jac[:, 2, 0] = ct * cp, ct * sp, -st
-    jac[:, 0, 1], jac[:, 1, 1], jac[:, 2, 1] = -st * sp, st * cp, 0.0
-    return f, (d[:, None, :] @ jac).ravel()
 
 
 @dataclass
@@ -104,8 +105,8 @@ class DecompositionResult:
     """Outcome of the tightness check.
 
     ``found`` means the residual is at most RESIDUAL_TOL, in which case the
-    vectors realize the decomposition. Otherwise they are the best candidates
-    an L-BFGS search saw, or None with an infinite residual if none ran.
+    vectors realize the decomposition. Otherwise the vectors are None and the
+    residual is infinite.
     """
 
     found: bool
@@ -184,21 +185,56 @@ def _balanced_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / math.sqrt(x.dot(x)), xp / math.sqrt(xp.dot(xp))
 
 
-def _pencil_search(basis: np.ndarray) -> DecompositionResult:
-    """Settings from a rank-one member of the pencil of the first min(k, 2) basis vectors.
+def _kernel_roots(basis: np.ndarray) -> list[np.ndarray]:
+    """Coordinates x of candidate members x1 V1 + x2 V2 + x3 V3, from the kernel of Q.
 
-    Returns the first candidate whose residual on the full basis is at most
-    RESIDUAL_TOL, or found=False with no vectors and an infinite residual.
+    The kernel is read as spanned by the one, two and three smallest right
+    singular vectors in turn, each as a symmetric matrix. One gives its
+    largest column; two give that of each rank-one member of their pencil;
+    three give the eigenvectors of the shifts by s, by t and by s + t.
     """
+    upper_left, upper_right, lower_left, lower_right = np.moveaxis(basis[:, _MINOR_CORNERS], 1, 0)
+    products = upper_left[:, None] * lower_right - upper_right[:, None] * lower_left
+    kernel = np.linalg.svd(products.reshape(9, 9).T @ _FOLD)[2][::-1]
+    k1, k2 = kernel[0][_SYMMETRIC], kernel[1][_SYMMETRIC]
+    pencil = _pencil_roots(_pencil_quadratic(k1.ravel(), k2.ravel()))
+    symmetric = [k1, *(s * k1 + t * k2 for s, t in pencil)]
+    roots = [m[:, np.argmax(np.linalg.norm(m, axis=0))] for m in symmetric]
+    # Column by column, the three kernel vectors' monomials of x u, x s and
+    # x t: X diag(u) G, X diag(s) G and X diag(t) G for the roots' columns X.
+    by_u, by_s, by_t = (kernel[:3, rows].T for rows in _SHIFT_ROWS)
+    inverse = np.linalg.pinv(by_u)
+    for shifted in (by_s, by_t, by_s + by_t):
+        roots.extend(np.linalg.eig(shifted @ inverse)[1].T)
+    return roots
+
+
+def _members(basis: np.ndarray):
+    """Candidate rank-one members of the leading span as 9-vectors, in the order they are tried."""
     if len(basis) == 1:
         # The squared minors sum to s1^2 (s2^2 + s3^2) + s2^2 s3^2 <= 1 - s1^2.
         upper_left, upper_right, lower_left, lower_right = basis[0][_MINOR_CORNERS]
         minors = (upper_left * lower_right - upper_right * lower_left).ravel()
-        members = [basis[0]] if minors.dot(minors) <= RESIDUAL_TOL**2 else []
-    else:
-        v1, v2 = basis[0], basis[1]
-        members = [s * v1 + t * v2 for s, t in _pencil_roots(_pencil_quadratic(v1, v2))]
-    for member in members:
+        if minors.dot(minors) <= RESIDUAL_TOL**2:
+            yield basis[0]
+        return
+    v1, v2 = basis[0], basis[1]
+    for s, t in _pencil_roots(_pencil_quadratic(v1, v2)):
+        yield s * v1 + t * v2
+    if len(basis) == 3:
+        for x in _kernel_roots(basis):
+            yield x @ basis
+
+
+def check_tightness(svd: SVDResult) -> DecompositionResult:
+    """Look for outer settings whose pair (t1, t2) spans the leading subspace.
+
+    Returns the first candidate member whose settings have a residual of at
+    most RESIDUAL_TOL on the whole leading basis, or found=False with no
+    vectors and an infinite residual.
+    """
+    basis = svd.leading_right_basis()
+    for member in _members(basis):
         u, _, vh = np.linalg.svd(member.reshape(3, 3))
         a, ap = _balanced_pair(u[:, 0])
         c, cp = _balanced_pair(vh[0])
@@ -208,52 +244,6 @@ def _pencil_search(basis: np.ndarray) -> DecompositionResult:
                 found=True, a=a, a_prime=ap, c=c, c_prime=cp, residual=residual,
             )
     return DecompositionResult(False, None, None, None, None, math.inf)
-
-
-def _lbfgs_search(basis: np.ndarray, seed: int) -> DecompositionResult:
-    """Up to 64 seeded quasi-Newton descents, stopping at the first whose residual is at most RESIDUAL_TOL."""
-    rng = np.random.default_rng(seed)
-    best_f, best_ang, residual = float("inf"), None, float("inf")
-    for _ in range(_RESTARTS):
-        ang0 = rng.uniform(0.0, np.pi, size=8)
-        ang0[1::2] *= 2.0
-        res = minimize(
-            _objective_and_grad,
-            ang0,
-            args=(basis,),
-            jac=True,
-            method="L-BFGS-B",
-            options=_LBFGS_OPTIONS,
-        )
-        if res.fun < best_f:
-            best_f, best_ang = res.fun, res.x
-            residual = float(np.sqrt(max(best_f, 0.0)))
-        found = residual <= RESIDUAL_TOL
-        if found:
-            break
-
-    a, ap, c, cp = _units_from_angles(best_ang)
-    return DecompositionResult(
-        found=found,
-        a=a, a_prime=ap, c=c, c_prime=cp,
-        residual=residual,
-    )
-
-
-def check_tightness(svd: SVDResult, *, seed: int = 42) -> DecompositionResult:
-    """Look for outer settings whose pair (t1, t2) spans the leading subspace.
-
-    The exact route tries the rank-one members of the complexified pencil of
-    the first min(k, 2) leading right vectors of a k-fold leading value. At
-    k <= 2 it is complete, so what it does not certify is reported with no
-    search. At k = 3 up to 64 seeded L-BFGS descents follow, stopping at the
-    first whose residual is at most RESIDUAL_TOL.
-    """
-    basis = svd.leading_right_basis()
-    decomposition = _pencil_search(basis)
-    if not decomposition.found and len(basis) == 3:
-        decomposition = _lbfgs_search(basis, seed)
-    return decomposition
 
 
 def assemble_settings(

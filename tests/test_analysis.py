@@ -37,19 +37,10 @@ def seesaw_seeds(monkeypatch):
 
 @CERTIFIERS
 @pytest.mark.parametrize("config, seed", [(OracleConfig(restarts=4, seed=7), 7), (None, 42)])
-def test_oracle_seed_seeds_both_searches(monkeypatch, seesaw_seeds, certify, config, seed):
-    """A nondegenerate state has no decomposition, so the see-saw runs once, on the config's seed."""
-    tightness_seeds = []
-    inner = analysis.check_tightness
-
-    def spy_tightness(svd, **kwargs):
-        tightness_seeds.append(kwargs["seed"])
-        return inner(svd, **kwargs)
-
-    monkeypatch.setattr(analysis, "check_tightness", spy_tightness)
+def test_oracle_seed_seeds_both_searches(seesaw_seeds, certify, config, seed):
+    """A nondegenerate state has no decomposition, so the see-saw, the one seeded search, runs once on the config's seed."""
     report = certify(random_density(np.random.default_rng(5)), config)
     assert report.degeneracy == 1 and not report.tight
-    assert tightness_seeds == [seed]
     assert seesaw_seeds == [seed]
 
 

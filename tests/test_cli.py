@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -674,6 +675,51 @@ for argv in (["bound", "--family", "ghz-noise", "--p", "0.8"], ["scan", "--figur
     assert "scipy.optimize" not in sys.modules, argv
 """
         run_fresh(script)
+
+    @staticmethod
+    def threefold_state(rows: np.ndarray) -> np.ndarray:
+        """(I + 0.3 sum M[j, 3i + k] sigma_i (x) sigma_j (x) sigma_k) / 8 for M = rows, whose rows are orthonormal.
+
+        Its correlation matrix is 0.3 M, so its leading value 0.3 is threefold.
+        """
+        paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+        rho = np.eye(8, dtype=complex)
+        for i, j, k in itertools.product(range(3), repeat=3):
+            rho += 0.3 * rows[j, 3 * i + k] * np.kron(np.kron(paulis[i], paulis[j]), paulis[k])
+        return rho / 8.0
+
+    def bound_report(self, tmp_path, rows: np.ndarray) -> dict:
+        """``bound --state`` on the threefold state of ``rows``, run where scipy.optimize must stay unloaded."""
+        path = tmp_path / "threefold.json"
+        save_state(self.threefold_state(rows), str(path))
+        script = """
+import sys
+import svetbound.cli as cli
+assert cli.main(["bound", "--state", sys.argv[1]]) == 0
+assert "scipy.optimize" not in sys.modules
+"""
+        report = out_map(run_fresh(script, str(path)))
+        assert report["degeneracy"] == "3"
+        return report
+
+    def test_threefold_unattainable_state(self, tmp_path):
+        """The leading rows I/sqrt(3), (E01 - E10)/sqrt(2) and (E02 - E20)/sqrt(2) hold no complex rank-one member."""
+        rows = np.zeros((3, 3, 3))
+        rows[0] = np.eye(3) / np.sqrt(3.0)
+        for row, col in ((1, 1), (2, 2)):
+            rows[row, 0, col], rows[row, col, 0] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
+        report = self.bound_report(tmp_path, rows.reshape(3, 9))
+        assert report["tight"] == "false"
+
+    def test_threefold_planted_state(self, tmp_path):
+        """A span holding the t1 and t2 of random settings and a real rank-one x z^T is attained exactly."""
+        rng = np.random.default_rng(0)
+        units = rng.normal(size=(6, 3))
+        a, ap, c, cp, x, z = units / np.linalg.norm(units, axis=1, keepdims=True)
+        spanning = [np.kron(a, c) - np.kron(ap, cp), np.kron(a, cp) + np.kron(ap, c), np.kron(x, z)]
+        report = self.bound_report(tmp_path, np.linalg.qr(np.transpose(spanning))[0].T)
+        assert report["tight"] == "true"
+        assert abs(float(report["achieved"]) - float(report["bound"])) <= 1e-9
 
     def test_blas_loaded_by_the_box_search_runs_single_threaded(self, tmp_path):
         """scipy's OpenBLAS, loaded after cli.main pinned the others, runs on one thread too.

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
+from scipy.optimize import minimize as scipy_minimize
 
 import svetbound.tightness as tightness
 from conftest import random_density, random_su2
@@ -64,11 +65,14 @@ def settings_pair(a, ap, c, cp) -> np.ndarray:
     return np.stack([np.kron(a, c) - np.kron(ap, cp), np.kron(a, cp) + np.kron(ap, c)])
 
 
+def unit_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 def planted_rows(rng: np.random.Generator) -> np.ndarray:
     """An orthonormal basis of the (t1, t2) plane of random unit settings, turned by a random angle in the plane."""
-    units = rng.normal(size=(4, 3))
-    units /= np.linalg.norm(units, axis=1, keepdims=True)
-    plane = np.linalg.qr(settings_pair(*units).T)[0].T
+    plane = np.linalg.qr(settings_pair(*unit_rows(rng, 4)).T)[0].T
     angle = rng.uniform(0.0, 2.0 * np.pi)
     turn = np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
     return turn @ plane
@@ -83,42 +87,20 @@ def residual_of(fun: float) -> float:
     return float(np.sqrt(max(fun, 0.0)))
 
 
-@pytest.fixture
-def lbfgs_runs(monkeypatch):
-    """Final objective values of every L-BFGS run made during the test."""
-    funs = []
-    inner = tightness.minimize
-
-    def spy(*args, **kwargs):
-        res = inner(*args, **kwargs)
-        funs.append(float(res.fun))
-        return res
-
-    monkeypatch.setattr(tightness, "minimize", spy)
-    return funs
+RESTARTS = 64
+LBFGS_OPTIONS = {"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14}
 
 
-def exhaustive_found(svd, seed: int = 42) -> bool:
-    """Whether any of all the seeded restarts reaches RESIDUAL_TOL, none skipped."""
-    if svd.degeneracy() < 2:
-        return False
-    basis = svd.leading_right_basis()
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(tightness._RESTARTS):
-        ang0 = rng.uniform(0.0, np.pi, size=8)
-        ang0[1::2] *= 2.0
-        res = tightness.minimize(
-            tightness._objective_and_grad, ang0, args=(basis,), jac=True, method="L-BFGS-B",
-            options=tightness._LBFGS_OPTIONS,
-        )
-        best = min(best, res.fun)
-    return residual_of(best) <= RESIDUAL_TOL
+def units_from_angles(ang: np.ndarray) -> np.ndarray:
+    """Four unit vectors (a, a', c, c') from interleaved polar/azimuthal angles."""
+    th, ph = ang[0::2], ang[1::2]
+    st, ct = np.sin(th), np.cos(th)
+    return np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
 
 
 def per_vector_objective(ang: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndarray]:
-    """The deficit and its gradient with np.kron and one chain-rule step per vector."""
-    a, ap, c, cp = tightness._units_from_angles(ang)
+    """The deficit 4 - |B t1|^2 - |B t2|^2 and its gradient, one chain-rule step per vector."""
+    a, ap, c, cp = units_from_angles(ang)
     t1 = np.kron(a, c) - np.kron(ap, cp)
     t2 = np.kron(a, cp) + np.kron(ap, c)
     bt1, bt2 = basis @ t1, basis @ t2
@@ -135,16 +117,65 @@ def per_vector_objective(ang: np.ndarray, basis: np.ndarray) -> tuple[float, np.
     return f, grad
 
 
-class TestObjective:
-    def test_matches_per_vector_reference(self, rng):
-        """Same arithmetic, so the same floats: the L-BFGS paths must not move."""
-        for _ in range(300):
-            basis = np.linalg.qr(rng.normal(size=(9, rng.integers(2, 4))))[0].T
-            ang = rng.uniform(0.0, 2.0 * np.pi, size=8)
-            f, grad = tightness._objective_and_grad(ang, basis)
-            f_ref, grad_ref = per_vector_objective(ang, basis)
-            assert f == f_ref
-            np.testing.assert_array_equal(grad, grad_ref)
+def exhaustive_found(svd, seed: int = 42) -> bool:
+    """Whether any of 64 seeded L-BFGS descents on the deficit reaches RESIDUAL_TOL: the reference search."""
+    basis = svd.leading_right_basis()
+    rng = np.random.default_rng(seed)
+    for _ in range(RESTARTS):
+        ang0 = rng.uniform(0.0, np.pi, size=8)
+        ang0[1::2] *= 2.0
+        res = scipy_minimize(
+            per_vector_objective, ang0, args=(basis,), jac=True, method="L-BFGS-B", options=LBFGS_OPTIONS,
+        )
+        if residual_of(res.fun) <= RESIDUAL_TOL:
+            return True
+    return False
+
+
+def real_rank_one(rng: np.random.Generator) -> np.ndarray:
+    return np.kron(*rng.normal(size=(2, 3)))
+
+
+def tangent_and_real(rng: np.random.Generator) -> list:
+    """x y^T, the tangent x b^T + a y^T to the rank-one matrices there, and a real rank-one."""
+    x, y, a, b = rng.normal(size=(4, 3))
+    return [np.kron(x, y), np.kron(x, b) + np.kron(a, y), real_rank_one(rng)]
+
+
+# Spanning sets of threefold spans, drawn from a generator. A complex pair's
+# t1 and t2 plant the conjugate roots (a + i a')(c + i c')^T and
+# (a - i a')(c - i c')^T.
+THREEFOLD = {
+    "pair-and-random": lambda rng: [*settings_pair(*unit_rows(rng, 4)), rng.normal(size=9)],
+    "pair-and-real": lambda rng: [*settings_pair(*unit_rows(rng, 4)), real_rank_one(rng)],
+    "three-real": lambda rng: [real_rank_one(rng) for _ in range(3)],
+    "one-real": lambda rng: [real_rank_one(rng), *rng.normal(size=(2, 9))],
+    "two-real": lambda rng: [real_rank_one(rng), real_rank_one(rng), rng.normal(size=9)],
+    "a-in-plane": lambda rng: [
+        np.kron(a, c) for a, c in zip(rng.normal(size=(3, 2)) @ rng.normal(size=(2, 3)), rng.normal(size=(3, 3)))
+    ],
+    "c-in-plane": lambda rng: [
+        np.kron(a, c) for a, c in zip(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)) @ rng.normal(size=(2, 3)))
+    ],
+    "shared-a": lambda rng: [np.kron(a, c) for a in rng.normal(size=(1, 3)) for c in rng.normal(size=(3, 3))],
+    "block-conic": lambda rng: [np.pad(block, ((0, 1), (0, 1))).ravel() for block in rng.normal(size=(3, 2, 2))],
+    "tangent-and-real": tangent_and_real,
+    "random": lambda rng: list(rng.normal(size=(3, 9))),
+    "identity-antisymmetric": lambda rng: list(threefold_unattainable_matrix()),
+    "identity-and-antisymmetric": lambda rng: [np.eye(3).ravel(), *((m - m.T).ravel() for m in rng.normal(size=(2, 3, 3)))],
+    "symmetric-off-diagonal": lambda rng: [(e + e.T).ravel() for e in np.eye(9).reshape(9, 3, 3)[[1, 2, 5]]],
+}
+UNATTAINABLE = ["random", "identity-antisymmetric", "identity-and-antisymmetric", "symmetric-off-diagonal"]
+ATTAINABLE = [name for name in THREEFOLD if name not in UNATTAINABLE]
+# Spans whose rank-one members form a curve, which meets the sub-pencil's line.
+CURVES = ["shared-a", "block-conic"]
+
+
+def threefold_rows(name: str, seed: int) -> np.ndarray:
+    """An orthonormal basis of a THREEFOLD span, turned by a random rotation so that no basis vector is special."""
+    rng = np.random.default_rng(seed)
+    rows = np.linalg.qr(np.reshape(THREEFOLD[name](rng), (3, 9)).T)[0].T
+    return np.linalg.qr(rng.normal(size=(3, 3)))[0] @ rows
 
 
 class TestFamilyDecompositions:
@@ -231,28 +262,27 @@ class TestFailurePaths:
         assert dec.residual == np.inf
         assert dec.a is None
 
-    def test_twofold_unattainable_runs_no_search(self, lbfgs_runs):
-        """The pencil of a twofold value is complete: what it does not certify is reported with no L-BFGS run."""
+    def test_twofold_unattainable_runs_no_search(self):
+        """The pencil of a twofold value is complete: what it does not certify is reported with no search."""
         dec = check_tightness(svd_3x9(unattainable_matrix()))
-        assert lbfgs_runs == []
         assert not dec.found
         assert dec.residual == np.inf
         assert dec.a is None
 
-    def test_degenerate_but_unattainable(self, lbfgs_runs):
+    def test_degenerate_but_unattainable(self):
         """A threefold subspace without complex rank-one members admits no settings pair.
 
         Adding (E02 - E20)/sqrt(2) to the leading pair I/sqrt(3) and
         (E01 - E10)/sqrt(2) keeps the best captured weight at 10/3, a deficit
-        of exactly 2/3. The sub-pencil certifies nothing, so L-BFGS runs, and
-        no restart certifies, so all of them run.
+        of exactly 2/3. Neither the sub-pencil nor the kernel route certifies,
+        and what they do not certify is reported with no search.
         """
         svd = svd_3x9(threefold_unattainable_matrix())
         assert svd.degeneracy() == 3
         dec = check_tightness(svd)
-        assert len(lbfgs_runs) == tightness._RESTARTS
         assert not dec.found
-        assert dec.residual == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-6)
+        assert dec.residual == np.inf
+        assert dec.a is None
 
     def test_assemble_requires_found(self):
         corr = correlation_matrix(build_chi_state(0.5))
@@ -267,7 +297,7 @@ class TestFailurePaths:
 class TestRankOneRoute:
     """At a nondegenerate leading value the pencil is V1 alone: a real rank-one V1 = a c^T certifies."""
 
-    def test_planted_rank_one(self, lbfgs_runs, rng):
+    def test_planted_rank_one(self, rng):
         """a = a' and c = c' give t1 = 0 and t2 = 2 a (x) c, and the B update completes them with b' = -b."""
         for _ in range(200):
             a, c = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
@@ -281,7 +311,6 @@ class TestRankOneRoute:
             settings, value = assemble_settings(dec, corr)
             assert value == pytest.approx(4.0 * corr.svd.singular_values[0], abs=1e-12)
             np.testing.assert_allclose(settings.b_prime, -settings.b, atol=1e-12)
-        assert lbfgs_runs == []
 
     def test_minor_check_never_rejects_a_certifying_candidate(self, rng):
         """Around RESIDUAL_TOL, found is the ungated candidate's residual test.
@@ -309,26 +338,14 @@ class TestRankOneRoute:
 
 
 class TestStopRule:
-    """The search stops on the same comparison that sets ``found``."""
+    """The exact route reports found exactly where the exhaustive L-BFGS reference does."""
 
     @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
-    def test_stops_at_first_certifying_run(self, lbfgs_runs, build, p):
-        basis = correlation_matrix(build(p)).svd.leading_right_basis()
-        dec = tightness._lbfgs_search(basis, 42)
-        residuals = [residual_of(f) for f in lbfgs_runs]
-        assert dec.found
-        assert residuals[-1] <= RESIDUAL_TOL
-        assert all(r > RESIDUAL_TOL for r in residuals[:-1])
-        assert dec.residual == residuals[-1]
-
-    @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
-    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
-    def test_pencil_certifies_without_lbfgs(self, lbfgs_runs, build, p):
+    def test_pencil_certifies_without_lbfgs(self, build, p):
         dec = check_tightness(correlation_matrix(build(p)).svd)
         assert dec.found
         assert dec.residual <= RESIDUAL_TOL
-        assert lbfgs_runs == []
 
     @pytest.mark.parametrize(
         "make_svd",
@@ -339,10 +356,12 @@ class TestStopRule:
             lambda: optimize_filter(build_chi_state(0.5))[1].m_prime.svd,
             lambda: optimize_filter(build_ghz_noise_state(0.4))[1].m_prime.svd,
             lambda: svd_3x9(unattainable_matrix()),
+            *(lambda name=name: leading_corr(threefold_rows(name, 0)).svd for name in THREEFOLD),
         ],
         ids=[
             "chi-0.35", "ghz-noise-0.45", "ghz-noise-1",
             "filtered-chi-0.5", "filtered-ghz-noise-0.4", "unattainable",
+            *(f"threefold-{name}" for name in THREEFOLD),
         ],
     )
     def test_found_matches_exhaustive_search(self, make_svd):
@@ -351,20 +370,19 @@ class TestStopRule:
 
 
 class TestPencilRoute:
-    """A rank-one member of the complexified pencil certifies without any L-BFGS run."""
+    """A rank-one member of the complexified pencil certifies."""
 
-    def test_planted_planes(self, lbfgs_runs, rng):
+    def test_planted_planes(self, rng):
         for _ in range(200):
             corr = leading_corr(planted_rows(rng))
             dec = check_tightness(corr.svd)
             assert dec.found
             assert dec.residual <= RESIDUAL_TOL
             assert_attains_bound(dec, corr)
-        assert lbfgs_runs == []
 
     @pytest.mark.parametrize("build", [build_chi_state, build_ghz_noise_state])
     @pytest.mark.parametrize("p", [0.3, 0.6, 0.9])
-    def test_rotated_family_states(self, lbfgs_runs, rng, build, p):
+    def test_rotated_family_states(self, rng, build, p):
         rho = build(p)
         for _ in range(4):
             u = tensor(random_su2(rng), random_su2(rng), random_su2(rng))
@@ -373,9 +391,8 @@ class TestPencilRoute:
             dec = check_tightness(corr.svd)
             assert dec.found
             assert_attains_bound(dec, corr)
-        assert lbfgs_runs == []
 
-    def test_zero_matrix_through_the_sub_pencil(self, lbfgs_runs):
+    def test_zero_matrix_through_the_sub_pencil(self):
         """M = 0 has a threefold leading value; the pencil of its first two basis vectors certifies."""
         corr = correlation_matrix(np.eye(8) / 8.0)
         assert corr.svd.degeneracy() == 3
@@ -383,9 +400,8 @@ class TestPencilRoute:
         assert dec.found
         assert dec.residual == 0.0
         assert_attains_bound(dec, corr)
-        assert lbfgs_runs == []
 
-    def test_root_at_infinity(self, lbfgs_runs):
+    def test_root_at_infinity(self):
         """In the pencil of I/sqrt(3) and E01 only s = 0, V2 itself, is rank one."""
         e01 = np.zeros((3, 3))
         e01[0, 1] = 1.0
@@ -396,9 +412,8 @@ class TestPencilRoute:
         for vec, axis in ((dec.a, 0), (dec.a_prime, 0), (dec.c, 1), (dec.c_prime, 1)):
             np.testing.assert_allclose(np.abs(vec), np.eye(3)[axis], atol=1e-12)
         assert_attains_bound(dec, corr)
-        assert lbfgs_runs == []
 
-    def test_both_ends_of_the_pencil(self, lbfgs_runs):
+    def test_both_ends_of_the_pencil(self):
         """The minors of s E00 + t E11 reduce to s t, whose roots are V1 and V2 themselves."""
         e00, e11 = np.eye(9)[0], np.eye(9)[4]
         assert tightness._pencil_roots(tightness._pencil_quadratic(e00, e11)) == [(1.0, 0.0), (0.0, 1.0)]
@@ -406,18 +421,62 @@ class TestPencilRoute:
         dec = check_tightness(corr.svd)
         assert dec.found
         assert_attains_bound(dec, corr)
-        assert lbfgs_runs == []
 
-    @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), planted=st.booleans())
-    def test_found_matches_exhaustive_search(self, seed, planted):
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), span=st.sampled_from(["planted", "random-pair", *THREEFOLD]))
+    @example(seed=0, span="random-pair")
+    def test_found_matches_exhaustive_search(self, seed, span):
         rng = np.random.default_rng(seed)
-        rows = planted_rows(rng) if planted else np.linalg.qr(rng.normal(size=(9, 2)))[0].T
+        if span == "planted":
+            rows = planted_rows(rng)
+        elif span == "random-pair":
+            rows = np.linalg.qr(rng.normal(size=(9, 2)))[0].T
+        else:
+            rows = threefold_rows(span, seed)
         corr = leading_corr(rows)
         dec = check_tightness(corr.svd)
         assert dec.found == exhaustive_found(corr.svd)
         if dec.found:
             assert_attains_bound(dec, corr)
+
+
+class TestKernelRoute:
+    """A threefold span whose sub-pencil certifies nothing takes its candidates from the kernel of the minors."""
+
+    @pytest.mark.parametrize("name", ATTAINABLE)
+    def test_attainable_spans(self, monkeypatch, name):
+        """Isolated roots lie off the sub-pencil's line, so only the kernel route certifies them."""
+        spans = [leading_corr(threefold_rows(name, seed)) for seed in range(20)]
+        for corr in spans:
+            dec = check_tightness(corr.svd)
+            assert dec.found
+            assert dec.residual <= RESIDUAL_TOL
+            assert_attains_bound(dec, corr)
+        monkeypatch.setattr(tightness, "_kernel_roots", lambda basis: [])
+        by_sub_pencil = [check_tightness(corr.svd).found for corr in spans]
+        assert all(by_sub_pencil) if name in CURVES else not any(by_sub_pencil)
+
+    @pytest.mark.parametrize("name", UNATTAINABLE)
+    def test_unattainable_spans(self, name):
+        for seed in range(20):
+            dec = check_tightness(leading_corr(threefold_rows(name, seed)).svd)
+            assert not dec.found
+            assert dec.residual == np.inf
+            assert dec.a is None
+
+    def test_roots_on_lines_through_the_sub_pencil(self, rng):
+        """Every root is among the candidates when each pair of roots shares one shift's eigenvalue.
+
+        The members x1 V1 + x2 V2 + x3 V3 at the roots (0, 0, 1), (0, 1, 1)
+        and (1, 0, 1) are random real rank-ones. The lines through pairs of
+        roots pass through V2, V1 and V1 - V2, so each pair shares an
+        eigenvalue of the shift by s, by t or by s + t.
+        """
+        roots = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        basis = np.linalg.solve(roots, np.stack([real_rank_one(rng) for _ in range(3)]))
+        candidates = [x / np.linalg.norm(x) for x in tightness._kernel_roots(basis)]
+        for root in roots / np.linalg.norm(roots, axis=1, keepdims=True):
+            assert max(abs(np.vdot(x, root)) for x in candidates) == pytest.approx(1.0, abs=1e-12)
 
 
 def stacked_residual(basis, a, ap, c, cp) -> float:
